@@ -16,4 +16,3 @@ from .solver import Decomposition, SolverConfig, solve
 from .synth import (SubspaceSpec, add_gaussian_noise_snr, classification_accuracy,
                     corrupt_random_pixels, invert_pixels, offblock_ratio,
                     reconstruction_accuracy, synth_blobs, synth_subspaces)
-from .weights import build_augmented, hadamard, sclrr_weight

@@ -7,12 +7,13 @@ label = argmax of the soft vector, ties to the lowest class index.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DegenerateFeatures, DimensionError
 from .prox import weighted_shrink
-from .solver import SolverConfig
+from .solver import SolverConfig, _run_alm
 
 
 def validate_labels(H):
@@ -70,26 +71,16 @@ def train_classifier(features, H, cfg=None, L_star=None):
     delta = 1e-8 * np.trace(F @ F.T) / d
     G = F @ F.T + delta * np.eye(d)
 
-    C = np.zeros((d, c))
-    Ec = np.zeros((N, c))
-    Y = np.zeros((N, c))
-    mu = cfg.mu0
-    residual = np.inf
-    converged = False
-    for _ in range(cfg.max_iter):
-        C = np.linalg.solve(G, F @ (Ht - Ec + Y / mu))
-        Ec = weighted_shrink(Ht - F.T @ C + Y / mu, np.full((N, c), 1.0 / mu))
-        r = Ht - F.T @ C - Ec
-        residual = float(np.max(np.abs(r))) if r.size else 0.0
-        if residual < cfg.tol:
-            converged = True
-            break
-        Y = Y + mu * r
-        mu = min(cfg.eta * mu, cfg.mu_max)
+    def sweep(s):
+        s.C = np.linalg.solve(G, F @ (Ht - s.Ec + s.Y / s.mu))
+        s.Ec = weighted_shrink(Ht - F.T @ s.C + s.Y / s.mu, np.full((N, c), 1.0 / s.mu))
 
-    return ClassifierModel(C_star=C, L_star=np.asarray(L_star, dtype=float),
-                           training_error=Ec, ridge_delta=float(delta),
-                           converged=converged, residual=residual)
+    state = SimpleNamespace(C=np.zeros((d, c)), Ec=np.zeros((N, c)), Y=np.zeros((N, c)),
+                            mu=cfg.mu0, iter=0)
+    trace, converged = _run_alm(state, cfg, sweep, lambda s: {"Y": Ht - F.T @ s.C - s.Ec})
+    return ClassifierModel(C_star=state.C, L_star=np.asarray(L_star, dtype=float),
+                           training_error=state.Ec, ridge_delta=float(delta),
+                           converged=converged, residual=trace[-1].residual)
 
 
 def predict_labels(model, X_test):

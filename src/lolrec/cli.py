@@ -70,7 +70,7 @@ def _solver_config(cfg):
     return SolverConfig(
         alpha=cfg["alpha"], beta=cfg["beta"], lam=cfg["lambda"],
         mu0=cfg["mu0"], eta=cfg["eta"], mu_max=cfg["mu_max"],
-        tol=cfg["tol"], max_iter=int(cfg["max_iter"]), seed=int(cfg["seed"]),
+        tol=cfg["tol"], max_iter=int(cfg["max_iter"]),
     )
 
 

@@ -37,10 +37,6 @@ class NumericalError(ToolkitError):
         self.iteration = iteration
 
 
-class InsufficientSamples(ToolkitError):
-    """Too few columns for the requested operation."""
-
-
 class DegenerateFeatures(ToolkitError):
     """All-zero feature matrix passed to classifier training."""
 

@@ -1,94 +1,73 @@
 """Latent low-rank representation baseline.
 
 Minimizes ||Z||_* + ||L||_* + lambda ||E||_1 subject to X = XZ + LX + E
-by inexact ALM with splitting variables J = Z and F = L, sharing the
-zero initialization, mu schedule, and residual check of the main solver
-so head-to-head comparisons isolate the model, not the solver.
+by inexact ALM with splitting variables J = Z and F = L.  It runs on the
+main solver's inexact-ALM loop (zero initialization, mu schedule,
+residual check, multiplier ascent), so head-to-head comparisons isolate
+the model, not the solver.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
-from .errors import NumericalError
-from .prox import svt, weighted_shrink
-from .solver import Decomposition, SolverConfig, TracePoint, thin_svd
+from .prox import svt, thin_svd, weighted_shrink
+from .solver import (SolverConfig, _data_matrix, _decomposition, _penalized,
+                     _run_alm, _spd_factor)
 
 
-def latlrr_lagrangian(Z, L, E, J, F, Y1, Y2, Y3, mu, X, lam):
-    """Augmented Lagrangian of the baseline model (used by tests)."""
-    r1 = X - X @ Z - L @ X - E
-    r2 = Z - J
-    r3 = L - F
-    value = (thin_svd(J).singular_values.sum()
-             + thin_svd(F).singular_values.sum()
-             + lam * np.abs(E).sum())
-    for Y, r in zip((Y1, Y2, Y3), (r1, r2, r3)):
-        value += np.sum(Y * r) + 0.5 * mu * np.linalg.norm(r, "fro") ** 2
-    return float(value)
+def _residual_blocks(state, X):
+    return {"Y1": X - X @ state.Z - state.L @ X - state.E,
+            "Y2": state.Z - state.J,
+            "Y3": state.L - state.F}
+
+
+def latlrr_lagrangian(state, X, lam, blocks=None):
+    """Augmented Lagrangian of the baseline model at `state`.
+
+    `blocks` are the state's residual blocks, when the caller already has them.
+    """
+    if blocks is None:
+        blocks = _residual_blocks(state, X)
+    value = (thin_svd(state.J).singular_values.sum()
+             + thin_svd(state.F).singular_values.sum()
+             + lam * np.abs(state.E).sum())
+    return _penalized(value, state, blocks)
 
 
 def latlrr_solve(X, lam=None, cfg=None, record_lagrangian=True, callback=None):
-    """Solve the baseline decomposition; returns the same Decomposition shape."""
+    """Solve the baseline decomposition; returns the same Decomposition shape.
+
+    `callback(state, residual)` runs after each sweep, as in `solve`.
+    """
     cfg = cfg or SolverConfig()
     if lam is None:
         lam = cfg.lam
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or not np.all(np.isfinite(X)):
-        raise NumericalError("X must be a finite 2-D matrix")
+    X = _data_matrix(X)
     d, N = X.shape
+    zfac = _spd_factor(np.eye(N) + X.T @ X)
+    lfac = _spd_factor(np.eye(d) + X @ X.T)
 
-    Z = np.zeros((N, N))
-    J = np.zeros((N, N))
-    L = np.zeros((d, d))
-    F = np.zeros((d, d))
-    E = np.zeros((d, N))
-    Y1 = np.zeros((d, N))
-    Y2 = np.zeros((N, N))
-    Y3 = np.zeros((d, d))
-    mu = cfg.mu0
-
-    zfac = cho_factor(np.eye(N) + X.T @ X)
-    lfac = cho_factor(np.eye(d) + X @ X.T)
-
-    trace = []
-    converged = False
-    iters = 0
-    for _ in range(cfg.max_iter):
-        mu_k = mu
+    def sweep(s):
         # L (XX' + I) = (X - XZ - E) X' + F + (Y1 X' - Y3)/mu
-        rhs_L = (X - X @ Z - E) @ X.T + F + (Y1 @ X.T - Y3) / mu
-        L = cho_solve(lfac, rhs_L.T).T
+        rhs_L = (X - X @ s.Z - s.E) @ X.T + s.F + (s.Y1 @ X.T - s.Y3) / s.mu
+        s.L = cho_solve(lfac, rhs_L.T).T
         # (X'X + I) Z = X'(X - LX - E) + J + (X'Y1 - Y2)/mu
-        rhs_Z = X.T @ (X - L @ X - E) + J + (X.T @ Y1 - Y2) / mu
-        Z = cho_solve(zfac, rhs_Z)
-        E = weighted_shrink(X - X @ Z - L @ X + Y1 / mu,
-                            np.full((d, N), lam / mu))
-        J = svt(Z + Y2 / mu, 1.0 / mu)
-        F = svt(L + Y3 / mu, 1.0 / mu)
+        rhs_Z = X.T @ (X - s.L @ X - s.E) + s.J + (X.T @ s.Y1 - s.Y2) / s.mu
+        s.Z = cho_solve(zfac, rhs_Z)
+        s.E = weighted_shrink(X - X @ s.Z - s.L @ X + s.Y1 / s.mu,
+                              np.full((d, N), lam / s.mu))
+        s.J = svt(s.Z + s.Y2 / s.mu, 1.0 / s.mu)
+        s.F = svt(s.L + s.Y3 / s.mu, 1.0 / s.mu)
 
-        r1 = X - X @ Z - L @ X - E
-        r2 = Z - J
-        r3 = L - F
-        residual = max(np.max(np.abs(r)) for r in (r1, r2, r3))
-        lag = (latlrr_lagrangian(Z, L, E, J, F, Y1, Y2, Y3, mu, X, lam)
-               if record_lagrangian else float("nan"))
-        trace.append(TracePoint(iteration=iters, residual=residual, mu=mu_k, lagrangian=lag))
-        if callback is not None:
-            callback((Z, L, E, J, F, Y1, Y2, Y3, mu), residual)
-
-        Y1 = Y1 + mu * r1
-        Y2 = Y2 + mu * r2
-        Y3 = Y3 + mu * r3
-        mu = min(cfg.eta * mu, cfg.mu_max)
-        iters += 1
-        if residual < cfg.tol:
-            converged = True
-            break
-
-    return Decomposition(
-        Z_star=Z, L_star=L, E_star=E,
-        principal=X @ Z, salient=L @ X,
-        trace=trace, converged=converged, iterations=iters,
-    )
+    z = np.zeros
+    state = SimpleNamespace(Z=z((N, N)), J=z((N, N)), L=z((d, d)), F=z((d, d)), E=z((d, N)),
+                            Y1=z((d, N)), Y2=z((N, N)), Y3=z((d, d)), mu=cfg.mu0, iter=0)
+    lagrangian = ((lambda state, blocks: latlrr_lagrangian(state, X, lam, blocks))
+                  if record_lagrangian else None)
+    trace, converged = _run_alm(state, cfg, sweep, lambda state: _residual_blocks(state, X),
+                                lagrangian, callback)
+    return _decomposition(X, state, trace, converged)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DimensionError, NumericalError
+from .errors import NumericalError
 from .prox import column_l21_shrink, svt, thin_svd, weighted_shrink
 
 
@@ -30,7 +30,6 @@ class SolverConfig:
     mu_max: float = 1e10
     tol: float = 1e-6
     max_iter: int = 300
-    seed: int = 0
 
     def __post_init__(self):
         if not (self.eta > 1):
@@ -39,6 +38,8 @@ class SolverConfig:
             raise ValueError("need 0 < mu0 < mu_max")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         for name in ("alpha", "beta", "lam"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
@@ -64,19 +65,6 @@ class AslrcState:
     Y6: np.ndarray
     mu: float
     iter: int = 0
-
-    def check_shapes(self, d, N):
-        expect = {
-            "Z": (N, N), "J": (N, N), "Q": (N, N), "R": (N, N),
-            "S": (N, N), "W": (N, N), "Y2": (N, N), "Y4": (N, N),
-            "Y5": (N, N), "Y6": (N, N),
-            "L": (d, d), "F": (d, d), "Y3": (d, d),
-            "E": (d, N), "Y1": (d, N),
-        }
-        for name, shape in expect.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise DimensionError(f"state block {name}: {got}, expected {shape}")
 
     def blocks(self):
         return (self.Z, self.J, self.Q, self.R, self.S, self.W,
@@ -117,27 +105,27 @@ def init_state(X, cfg=None):
     )
 
 
-def _check_finite(state, iteration=None):
+def _check_finite(state):
     for block in state.blocks():
         if not np.all(np.isfinite(block)):
-            raise NumericalError("non-finite state block", iteration=iteration)
+            raise NumericalError("non-finite state block", iteration=state.iter)
+
+
+def _spd_factor(M):
+    """Cholesky factor of SPD M; one trace-scaled jitter retry, then NumericalError."""
+    try:
+        return cho_factor(M)
+    except (np.linalg.LinAlgError, ValueError):
+        jitter = 1e-12 * max(np.trace(M), 1.0)
+        try:
+            return cho_factor(M + jitter * np.eye(M.shape[0]))
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
 
 
 def _spd_solve(M, B):
-    """Solve M @ X = B for symmetric positive-definite M.
-
-    Falls back to a trace-scaled diagonal jitter if the Cholesky
-    factorization fails from round-off.
-    """
-    M = 0.5 * (M + M.T)
-    try:
-        return cho_solve(cho_factor(M), B)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * max(np.trace(M), 1.0)
-        try:
-            return cho_solve(cho_factor(M + jitter * np.eye(M.shape[0])), B)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SPD solve failed: {exc}") from exc
+    """Solve M @ X = B for symmetric positive-definite M."""
+    return cho_solve(_spd_factor(0.5 * (M + M.T)), B)
 
 
 def update_L(state, X, cfg):
@@ -222,46 +210,58 @@ def update_E(state, X, cfg):
 
 
 def _residual_blocks(state, X):
-    N = X.shape[1]
-    ones = np.ones((N, N))
-    return (
-        X - X @ state.Z - state.L @ X - state.E,
-        state.Z - state.J,
-        state.L - state.F,
-        state.Z - state.Q,
-        state.R - state.S,
-        ones - state.W - state.R,
-    )
+    """The six constraint residuals, keyed by the multiplier that prices each."""
+    return {
+        "Y1": X - X @ state.Z - state.L @ X - state.E,
+        "Y2": state.Z - state.J,
+        "Y3": state.L - state.F,
+        "Y4": state.Z - state.Q,
+        "Y5": state.R - state.S,
+        "Y6": np.ones_like(state.W) - state.W - state.R,
+    }
+
+
+def _max_abs(blocks):
+    """Max entrywise-infinity norm over residual blocks (0 for empty blocks)."""
+    return float(max(np.max(np.abs(b)) if b.size else 0.0 for b in blocks.values()))
+
+
+def _ascend(state, blocks, cfg):
+    for name, r in blocks.items():
+        setattr(state, name, getattr(state, name) + state.mu * r)
+    state.mu = min(cfg.eta * state.mu, cfg.mu_max)
+    state.iter += 1
+
+
+def _penalized(value, state, blocks):
+    """Add each block's multiplier term <Y, r> and penalty (mu/2)||r||^2."""
+    for name, r in blocks.items():
+        value += np.sum(getattr(state, name) * r) + 0.5 * state.mu * np.linalg.norm(r, "fro") ** 2
+    return float(value)
 
 
 def update_multipliers_and_mu(state, X, cfg):
     """Gradient-ascent multiplier step, then geometric mu growth."""
-    r1, r2, r3, r4, r5, r6 = _residual_blocks(state, X)
-    mu = state.mu
-    state.Y1 = state.Y1 + mu * r1
-    state.Y2 = state.Y2 + mu * r2
-    state.Y3 = state.Y3 + mu * r3
-    state.Y4 = state.Y4 + mu * r4
-    state.Y5 = state.Y5 + mu * r5
-    state.Y6 = state.Y6 + mu * r6
-    state.mu = min(cfg.eta * mu, cfg.mu_max)
-    state.iter += 1
+    _ascend(state, _residual_blocks(state, X), cfg)
     return state
 
 
 def check_convergence(state, X, cfg):
     """Max entrywise-infinity norm over the six constraint residuals."""
-    residual = max(np.max(np.abs(b)) if b.size else 0.0 for b in _residual_blocks(state, X))
-    return residual < cfg.tol, float(residual)
+    residual = _max_abs(_residual_blocks(state, X))
+    return residual < cfg.tol, residual
 
 
-def augmented_lagrangian(state, X, cfg):
-    """Evaluate the full augmented Lagrangian at the current state."""
-    _check_finite(state, state.iter)
+def augmented_lagrangian(state, X, cfg, blocks=None):
+    """Evaluate the full augmented Lagrangian at the current state.
+
+    `blocks` are the state's residual blocks, when the caller already has them.
+    """
+    _check_finite(state)
+    if blocks is None:
+        blocks = _residual_blocks(state, X)
     N = X.shape[1]
-    LX = state.L @ X
-    A = np.vstack([LX, np.ones((1, N))])
-    r1, r2, r3, r4, r5, r6 = _residual_blocks(state, X)
+    A = np.vstack([state.L @ X, np.ones((1, N))])
     value = (
         thin_svd(state.J).singular_values.sum()
         + np.linalg.norm(state.F, axis=0).sum()
@@ -270,14 +270,14 @@ def augmented_lagrangian(state, X, cfg):
                       + np.linalg.norm(state.S, axis=0).sum())
         + cfg.lam * np.abs(state.E).sum()
     )
-    for Y, r in zip((state.Y1, state.Y2, state.Y3, state.Y4, state.Y5, state.Y6),
-                    (r1, r2, r3, r4, r5, r6)):
-        value += np.sum(Y * r) + 0.5 * state.mu * np.linalg.norm(r, "fro") ** 2
-    return float(value)
+    return _penalized(value, state, blocks)
 
 
 def primal_sweep(state, X, cfg, zfactor=None):
-    """One pass of block-coordinate updates at fixed multipliers and mu."""
+    """One pass of block-coordinate updates at fixed multipliers and mu.
+
+    Raises NumericalError if a block of the state turns non-finite.
+    """
     state.L = update_L(state, X, cfg)
     state.Z = update_Z(state, X, zfactor)
     state.E = update_E(state, X, cfg)
@@ -287,7 +287,47 @@ def primal_sweep(state, X, cfg, zfactor=None):
     state.Q = update_Q(state, cfg)
     state.W = update_W(state, cfg)
     state.S = update_S(state, cfg)
+    _check_finite(state)
     return state
+
+
+def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None, callback=None):
+    """Inexact-ALM loop shared by ASLRC, LatLRR and the classifier.
+
+    `sweep(state)` updates the primal blocks at fixed multipliers and mu;
+    `residual_blocks(state)` maps each multiplier name to its constraint
+    residual.  The blocks are built once per sweep and feed the convergence
+    check, `lagrangian(state, blocks)`, the trace, `callback(state,
+    residual)` and the multiplier ascent.  Returns (trace, converged).
+    """
+    trace, converged = [], False
+    for _ in range(cfg.max_iter):
+        mu = state.mu
+        sweep(state)
+        blocks = residual_blocks(state)
+        residual = _max_abs(blocks)
+        converged = residual < cfg.tol
+        lag = lagrangian(state, blocks) if lagrangian is not None else float("nan")
+        trace.append(TracePoint(iteration=state.iter, residual=residual, mu=mu, lagrangian=lag))
+        if callback is not None:
+            callback(state, residual)
+        _ascend(state, blocks, cfg)
+        if converged:
+            break
+    return trace, converged
+
+
+def _data_matrix(X):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or not np.all(np.isfinite(X)):
+        raise NumericalError("X must be a finite 2-D matrix")
+    return X
+
+
+def _decomposition(X, state, trace, converged):
+    return Decomposition(Z_star=state.Z, L_star=state.L, E_star=state.E,
+                         principal=X @ state.Z, salient=state.L @ X,
+                         trace=trace, converged=converged, iterations=state.iter)
 
 
 def solve(X, cfg=None, record_lagrangian=True, callback=None):
@@ -297,31 +337,12 @@ def solve(X, cfg=None, record_lagrangian=True, callback=None):
     cfg.max_iter sweeps (returned with converged=False, not an error).
     """
     cfg = cfg or SolverConfig()
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or not np.all(np.isfinite(X)):
-        raise NumericalError("X must be a finite 2-D matrix")
-    d, N = X.shape
+    X = _data_matrix(X)
+    zfactor = _spd_factor(2.0 * np.eye(X.shape[1]) + X.T @ X)
+
+    lagrangian = ((lambda state, blocks: augmented_lagrangian(state, X, cfg, blocks))
+                  if record_lagrangian else None)
     state = init_state(X, cfg)
-    state.check_shapes(d, N)
-    zfactor = cho_factor(2.0 * np.eye(N) + X.T @ X)
-
-    trace = []
-    converged = False
-    for _ in range(cfg.max_iter):
-        mu_k = state.mu
-        primal_sweep(state, X, cfg, zfactor)
-        _check_finite(state, state.iter)
-        converged, residual = check_convergence(state, X, cfg)
-        lag = augmented_lagrangian(state, X, cfg) if record_lagrangian else float("nan")
-        trace.append(TracePoint(iteration=state.iter, residual=residual, mu=mu_k, lagrangian=lag))
-        if callback is not None:
-            callback(state, residual)
-        update_multipliers_and_mu(state, X, cfg)
-        if converged:
-            break
-
-    return Decomposition(
-        Z_star=state.Z, L_star=state.L, E_star=state.E,
-        principal=X @ state.Z, salient=state.L @ X,
-        trace=trace, converged=converged, iterations=state.iter,
-    )
+    trace, converged = _run_alm(state, cfg, lambda state: primal_sweep(state, X, cfg, zfactor),
+                                lambda state: _residual_blocks(state, X), lagrangian, callback)
+    return _decomposition(X, state, trace, converged)

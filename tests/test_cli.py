@@ -122,6 +122,11 @@ class TestHarness:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert run(["bench-synth", "--config", cfg, "--out", tmp_path / "o"]) == 2
 
+    def test_max_iter_zero(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iter": 0}))
+        assert run(["bench-synth", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
     def test_unreadable_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

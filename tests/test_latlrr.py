@@ -1,5 +1,9 @@
-import numpy as np
+from types import SimpleNamespace
 
+import numpy as np
+import pytest
+
+from lolrec.errors import NumericalError
 from lolrec.latlrr import latlrr_lagrangian, latlrr_solve
 from lolrec.solver import SolverConfig, solve
 from lolrec.synth import SubspaceSpec, reconstruction_accuracy, synth_subspaces
@@ -42,16 +46,15 @@ def test_sweep_monotone(rng):
     # multipliers/mu that sweep saw
     X = rng.standard_normal((6, 8))
     lam = 0.1
-    prev = {"primal": None}
+    prev = {}
     checked = []
 
-    def watch(blocks, residual):
-        Z, L, E, J, F, Y1, Y2, Y3, mu = blocks
-        after = latlrr_lagrangian(Z, L, E, J, F, Y1, Y2, Y3, mu, X, lam)
-        if prev["primal"] is not None:
-            before = latlrr_lagrangian(*prev["primal"], Y1, Y2, Y3, mu, X, lam)
+    def watch(state, residual):
+        after = latlrr_lagrangian(state, X, lam)
+        if prev:
+            before = latlrr_lagrangian(SimpleNamespace(**{**vars(state), **prev}), X, lam)
             checked.append(after <= before + 1e-8 * (1 + abs(before)))
-        prev["primal"] = (Z.copy(), L.copy(), E.copy(), J.copy(), F.copy())
+        prev.update((k, getattr(state, k).copy()) for k in "ZLEJF")
 
     latlrr_solve(X, lam, SolverConfig(max_iter=30), record_lagrangian=False,
                  callback=watch)
@@ -64,3 +67,25 @@ def test_feasibility_residual_definition(rng):
     p = dec.trace[-1]
     res = X - X @ dec.Z_star - dec.L_star @ X - dec.E_star
     assert np.max(np.abs(res)) <= p.residual + 1e-12
+
+
+PAIRED = {"aslrc": lambda X, cfg: solve(X, cfg),
+          "latlrr": lambda X, cfg: latlrr_solve(X, None, cfg)}
+
+
+@pytest.mark.parametrize("method", sorted(PAIRED))
+def test_no_samples_converges_empty(method):
+    dec = PAIRED[method](np.zeros((4, 0)), SolverConfig())
+    assert dec.converged and dec.Z_star.shape == (0, 0)
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e200])
+@pytest.mark.parametrize("method", sorted(PAIRED))
+def test_extreme_scale_result_or_numerical_error(method, scale):
+    X, _ = synth_subspaces(SubspaceSpec(k=2, sub_dim=2, d=12, n_per=8, seed=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            dec = PAIRED[method](scale * X, SolverConfig(max_iter=50))
+        except NumericalError:
+            return
+    assert np.all(np.isfinite(dec.Z_star)) and np.all(np.isfinite(dec.E_star))

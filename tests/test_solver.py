@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_beats_perturbations, fd_gradient, random_state
-from lolrec.errors import DimensionError, NumericalError
+from lolrec.errors import NumericalError
 from lolrec.solver import (SolverConfig, augmented_lagrangian, check_convergence,
                            init_state, primal_sweep, solve, update_E, update_F,
                            update_J, update_L, update_multipliers_and_mu,
@@ -22,11 +22,20 @@ def lagrangian_as_function_of(block, state, X, cfg):
     return f
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("bad", [
+        {"eta": 1.0}, {"mu0": 0.0}, {"mu0": 1e11}, {"tol": 0.0},
+        {"alpha": -1.0}, {"beta": np.inf}, {"lam": np.nan}, {"max_iter": 0},
+    ])
+    def test_rejects_invalid(self, bad):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+
+
 class TestInitState:
     def test_all_zero(self, rng):
         X = rng.standard_normal((4, 6))
         s = init_state(X)
-        s.check_shapes(4, 6)
         for b in s.blocks():
             np.testing.assert_array_equal(b, 0.0)
         assert s.mu == 1e-6 and s.iter == 0
@@ -346,12 +355,6 @@ class TestSolve:
         mus = [p.mu for p in dec.trace]
         for k, mu in enumerate(mus):
             assert mu == pytest.approx(min(cfg.mu0 * cfg.eta ** k, cfg.mu_max), rel=1e-12)
-
-    def test_shape_safety(self, rng):
-        s = random_state(rng, 4, 5)
-        s.Z = np.zeros((3, 3))
-        with pytest.raises(DimensionError):
-            s.check_shapes(4, 5)
 
     def test_non_finite_input(self):
         with pytest.raises(NumericalError):

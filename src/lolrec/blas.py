@@ -1,0 +1,107 @@
+"""One BLAS thread for every inexact-ALM solve.
+
+The solvers' sweeps multiply and factor 50-400-wide matrices, where
+OpenBLAS spends more on handing work to its threads than the extra cores
+save: on a 2-core machine a 50x60 `denoise` solve ran 6-7 times as long
+with OpenBLAS on both cores as with one.  `one_blas_thread()` sets every
+OpenBLAS copy loaded in the process (numpy's and scipy's wheels each ship
+one) to one thread while a solve runs, and restores the count it found.
+
+The pin is skipped when OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set: the user's setting wins.  It is a no-op where no
+OpenBLAS with `openblas_set_num_threads_local` (OpenBLAS >= 0.3.27) is
+loaded, or where /proc/self/maps cannot be read.
+
+In the pthreads builds that the wheels ship, `openblas_set_num_threads_local`
+changes the count for the whole process, not only for the calling thread
+(a second thread reads the count the first one set).  So the pin is
+reference-counted across threads: the first solve to start sets one
+thread, and the last one to finish restores the previous count.  Solves
+running on several sweep threads never undo each other's pin.
+"""
+
+import ctypes
+import functools
+import os
+import threading
+from contextlib import contextmanager
+from dataclasses import dataclass
+from pathlib import Path
+
+BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@dataclass(frozen=True)
+class OpenBlas:
+    library: str                 # file name of the loaded copy
+    version: str | None          # its `openblas_get_config` string
+    set_threads_local: object    # ctypes function, or None before 0.3.27
+
+
+def _symbol(lib, name, restype, argtypes):
+    """`name` as exported plainly or with scipy-openblas's prefix/suffix."""
+    for exported in (name, f"scipy_{name}", f"scipy_{name}64_"):
+        fn = getattr(lib, exported, None)
+        if fn is not None:
+            fn.restype, fn.argtypes = restype, argtypes
+            return fn
+    return None
+
+
+@functools.cache
+def loaded_openblas():
+    """Each OpenBLAS copy mapped into this process, found once on first use."""
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = {ln.split(maxsplit=5)[-1].strip() for ln in fh}  # last field: the path
+    except OSError:
+        return ()
+    found = []
+    for path in sorted(p for p in mapped if "openblas" in Path(p).name):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        config = _symbol(lib, "openblas_get_config", ctypes.c_char_p, [])
+        found.append(OpenBlas(
+            library=Path(path).name,
+            version=config().decode() if config is not None else None,
+            set_threads_local=_symbol(lib, "openblas_set_num_threads_local",
+                                      ctypes.c_int, [ctypes.c_int])))
+    return tuple(found)
+
+
+def solve_threads():
+    """BLAS threads a solve runs on: 1, "env" (a BLAS variable is set) or "unpinned"."""
+    if any(os.environ.get(var) for var in BLAS_ENV_VARS):
+        return "env"
+    if any(lib.set_threads_local is not None for lib in loaded_openblas()):
+        return 1
+    return "unpinned"
+
+
+_lock = threading.Lock()
+_active = 0    # solves inside the pin, over all threads
+_saved = []    # (setter, count found) from the first solve to enter
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread (see module doc)."""
+    global _active, _saved
+    setters = ([lib.set_threads_local for lib in loaded_openblas()
+                if lib.set_threads_local is not None]
+               if solve_threads() == 1 else [])
+    with _lock:
+        if _active == 0:
+            _saved = [(set_threads, set_threads(1)) for set_threads in setters]
+        _active += 1
+    try:
+        yield
+    finally:
+        with _lock:
+            _active -= 1
+            if _active == 0:
+                for set_threads, count in _saved:
+                    set_threads(count)
+                _saved = []

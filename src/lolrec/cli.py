@@ -3,9 +3,16 @@
 Subcommands: decompose | denoise | classify | bench-synth | grid.
 Configuration comes from a flat-key JSON file (--config); command-line
 flags override file values.  Every run writes a manifest with the config
-hash, toolkit version, and wall-clock per phase.  LOLREC_THREADS caps
-sweep parallelism (default 1); CSV rows are ordered by sweep index, not
-completion order, so output bytes are reproducible.
+hash, toolkit version, thread settings, and wall-clock per phase.
+`denoise` and `classify` print one stderr warning per solve that stopped
+at max_iter unconverged.
+
+Threads: a subcommand runs BLAS on one thread, so its artifacts match a
+run with OPENBLAS_NUM_THREADS=1 byte for byte; setting OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS overrides this (see `lolrec.blas`).
+LOLREC_THREADS caps sweep parallelism (default 1): that many solves run at
+once.  CSV rows are ordered by sweep index, not completion order, so output
+bytes are reproducible.
 """
 
 import argparse
@@ -18,8 +25,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import __version__, blas
 from .classify import one_hot, predict_labels, train_classifier
 from .errors import ToolkitError
 from .latlrr import latlrr_solve
@@ -64,6 +72,14 @@ def _run_indexed(jobs):
         return [job() for job in jobs]
     with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(lambda j: j(), jobs))
+
+
+def _warn_unconverged(notes):
+    """Print one stderr line per (what, iterations, final residual); returns the count."""
+    for what, iterations, residual in notes:
+        print(f"warning: {what} did not converge in {iterations} iterations "
+              f"(final residual {residual:.3g})", file=sys.stderr)
+    return len(notes)
 
 
 def _solver_config(cfg):
@@ -164,20 +180,24 @@ def cmd_denoise(cfg, out):
     def job(idx, level):
         def run():
             X_noisy = _corrupt(X_clean, protocol, level, seed=int(cfg["seed"]) + idx)
-            rows = []
+            rows, notes = [], []
             for m in methods:
                 dec = _SOLVERS[m](X_noisy, scfg)
                 zeta_rec = reconstruction_accuracy(X_clean, X_noisy @ dec.Z_star)
                 zeta_emb = reconstruction_accuracy(X_clean, dec.L_star @ X_clean)
                 rows.append((idx, float(level), m, float(zeta_rec), float(zeta_emb)))
-            return rows
+                if not dec.converged:
+                    notes.append((f"denoise: {m} at level {level:g}", dec.iterations,
+                                  dec.trace[-1].residual))
+            return rows, notes
         return run
 
     results = _run_indexed([job(i, lv) for i, lv in enumerate(levels)])
-    rows = [r for batch in results for r in batch]
+    rows = [r for batch, _ in results for r in batch]
     _write_csv(out / "denoise.csv",
                ["sweep_index", "level", "method", "zeta_rec", "zeta_emb"], rows)
-    return {"points": len(rows)}
+    unconverged = _warn_unconverged([n for _, notes in results for n in notes])
+    return {"points": len(rows), "unconverged": unconverged}
 
 
 def cmd_classify(cfg, out):
@@ -209,15 +229,24 @@ def cmd_classify(cfg, out):
             model = train_classifier(dec.L_star @ Xtr, one_hot(ytr, k), scfg,
                                      L_star=dec.L_star)
             pred, _ = predict_labels(model, Xte)
-            return classification_accuracy(pred, yte)
+            notes = []
+            if not dec.converged:
+                notes.append((f"classify: {method} on split {split}", dec.iterations,
+                              dec.trace[-1].residual))
+            if not model.converged:
+                notes.append((f"classify: classifier on split {split}", scfg.max_iter,
+                              model.residual))
+            return classification_accuracy(pred, yte), notes
         return run
 
-    accs = _run_indexed([job(s) for s in range(int(cfg["splits"]))])
+    results = _run_indexed([job(s) for s in range(int(cfg["splits"]))])
+    accs = [a for a, _ in results]
     rows = [(s, float(a)) for s, a in enumerate(accs)]
     _write_csv(out / "accuracy.csv", ["split", "accuracy"], rows)
     _write_csv(out / "summary.csv", ["mean_accuracy", "std_accuracy"],
                [(float(np.mean(accs)), float(np.std(accs)))])
-    return {"mean_accuracy": float(np.mean(accs))}
+    unconverged = _warn_unconverged([n for _, notes in results for n in notes])
+    return {"mean_accuracy": float(np.mean(accs)), "unconverged": unconverged}
 
 
 def cmd_bench_synth(cfg, out):
@@ -300,6 +329,23 @@ def load_config(args):
     return cfg
 
 
+def _config_hash(cfg):
+    """SHA-256 of the experiment: the config without its output and input paths."""
+    experiment = {k: v for k, v in cfg.items() if k not in ("out", "input")}
+    return hashlib.sha256(json.dumps(experiment, sort_keys=True, default=str).encode()).hexdigest()
+
+
+def _threads_record():
+    return {
+        "LOLREC_THREADS": _threads(),
+        "blas_per_solve": blas.solve_threads(),
+        "openblas": [{"library": lib.library, "version": lib.version}
+                     for lib in blas.loaded_openblas()],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -308,14 +354,15 @@ def main(argv=None):
         out.mkdir(parents=True, exist_ok=True)
         phases = {}
         t0 = time.time()
-        summary = _COMMANDS[args.subcommand](cfg, out)
+        with blas.one_blas_thread():
+            summary = _COMMANDS[args.subcommand](cfg, out)
         phases[args.subcommand] = time.time() - t0
         manifest = {
             "subcommand": args.subcommand,
             "config": {k: cfg[k] for k in sorted(cfg)},
-            "config_hash": hashlib.sha256(
-                json.dumps(cfg, sort_keys=True, default=str).encode()).hexdigest(),
+            "config_hash": _config_hash(cfg),
             "version": __version__,
+            "threads": _threads_record(),
             "wall_clock_seconds": phases,
             "summary": summary,
         }

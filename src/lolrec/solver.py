@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .blas import one_blas_thread
 from .errors import NumericalError
 from .prox import column_l21_shrink, svt, thin_svd, weighted_shrink
 
@@ -128,16 +129,20 @@ def _spd_solve(M, B):
     return cho_solve(_spd_factor(0.5 * (M + M.T)), B)
 
 
-def update_L(state, X, cfg):
+def update_L(state, X, cfg, xxt=None):
     """Minimize the Lagrangian over the projection L (a linear solve).
 
     L [2 beta (X - XR)(X - XR)' + mu (XX' + I)]
         = Y1 X' - Y3 + mu (X - XZ - E) X' + mu F
+
+    `xxt` is X @ X.T, when the caller already has it.
     """
     d = X.shape[0]
+    if xxt is None:
+        xxt = X @ X.T
     XR = X @ state.R
     D = X - XR
-    M = 2.0 * cfg.beta * (D @ D.T) + state.mu * (X @ X.T + np.eye(d))
+    M = 2.0 * cfg.beta * (D @ D.T) + state.mu * (xxt + np.eye(d))
     rhs = state.Y1 @ X.T - state.Y3 + state.mu * ((X - X @ state.Z - state.E) @ X.T) + state.mu * state.F
     # L M = rhs with M symmetric, so solve M L' = rhs'.
     return _spd_solve(M, rhs.T).T
@@ -164,10 +169,10 @@ def update_R(state, X, cfg):
     """
     N = X.shape[1]
     LX = state.L @ X
-    AtA = LX.T @ LX + np.ones((N, N))
+    AtA = LX.T @ LX + 1.0
     M = 2.0 * cfg.beta * AtA + 2.0 * state.mu * np.eye(N)
     rhs = (2.0 * cfg.beta * AtA - state.Y5 + state.Y6
-           + state.mu * state.S + state.mu * (np.ones((N, N)) - state.W))
+           + state.mu * state.S + state.mu * (1.0 - state.W))
     return _spd_solve(M, rhs)
 
 
@@ -183,8 +188,7 @@ def update_Q(state, cfg):
 
 def update_W(state, cfg):
     """Weighted entrywise shrink of ones - R + Y6/mu; thresholds (alpha/mu)|Q|."""
-    N = state.R.shape[0]
-    target = np.ones((N, N)) - state.R + state.Y6 / state.mu
+    target = 1.0 - state.R + state.Y6 / state.mu
     return weighted_shrink(target, (cfg.alpha / state.mu) * np.abs(state.Q))
 
 
@@ -217,7 +221,7 @@ def _residual_blocks(state, X):
         "Y3": state.L - state.F,
         "Y4": state.Z - state.Q,
         "Y5": state.R - state.S,
-        "Y6": np.ones_like(state.W) - state.W - state.R,
+        "Y6": 1.0 - state.W - state.R,
     }
 
 
@@ -273,12 +277,14 @@ def augmented_lagrangian(state, X, cfg, blocks=None):
     return _penalized(value, state, blocks)
 
 
-def primal_sweep(state, X, cfg, zfactor=None):
+def primal_sweep(state, X, cfg, zfactor=None, xxt=None):
     """One pass of block-coordinate updates at fixed multipliers and mu.
 
-    Raises NumericalError if a block of the state turns non-finite.
+    `zfactor` (Cholesky of 2I + X'X) and `xxt` (X @ X.T) are the sweep
+    constants, when the caller already has them.  Raises NumericalError if
+    a block of the state turns non-finite.
     """
-    state.L = update_L(state, X, cfg)
+    state.L = update_L(state, X, cfg, xxt)
     state.Z = update_Z(state, X, zfactor)
     state.E = update_E(state, X, cfg)
     state.R = update_R(state, X, cfg)
@@ -298,22 +304,25 @@ def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None, callback=None)
     `residual_blocks(state)` maps each multiplier name to its constraint
     residual.  The blocks are built once per sweep and feed the convergence
     check, `lagrangian(state, blocks)`, the trace, `callback(state,
-    residual)` and the multiplier ascent.  Returns (trace, converged).
+    residual)` and the multiplier ascent.  The loop runs on one BLAS thread
+    (see `blas.one_blas_thread`).  Returns (trace, converged).
     """
     trace, converged = [], False
-    for _ in range(cfg.max_iter):
-        mu = state.mu
-        sweep(state)
-        blocks = residual_blocks(state)
-        residual = _max_abs(blocks)
-        converged = residual < cfg.tol
-        lag = lagrangian(state, blocks) if lagrangian is not None else float("nan")
-        trace.append(TracePoint(iteration=state.iter, residual=residual, mu=mu, lagrangian=lag))
-        if callback is not None:
-            callback(state, residual)
-        _ascend(state, blocks, cfg)
-        if converged:
-            break
+    with one_blas_thread():
+        for _ in range(cfg.max_iter):
+            mu = state.mu
+            sweep(state)
+            blocks = residual_blocks(state)
+            residual = _max_abs(blocks)
+            converged = residual < cfg.tol
+            lag = lagrangian(state, blocks) if lagrangian is not None else float("nan")
+            trace.append(TracePoint(iteration=state.iter, residual=residual, mu=mu,
+                                    lagrangian=lag))
+            if callback is not None:
+                callback(state, residual)
+            _ascend(state, blocks, cfg)
+            if converged:
+                break
     return trace, converged
 
 
@@ -339,10 +348,12 @@ def solve(X, cfg=None, record_lagrangian=True, callback=None):
     cfg = cfg or SolverConfig()
     X = _data_matrix(X)
     zfactor = _spd_factor(2.0 * np.eye(X.shape[1]) + X.T @ X)
+    xxt = X @ X.T
 
     lagrangian = ((lambda state, blocks: augmented_lagrangian(state, X, cfg, blocks))
                   if record_lagrangian else None)
     state = init_state(X, cfg)
-    trace, converged = _run_alm(state, cfg, lambda state: primal_sweep(state, X, cfg, zfactor),
+    trace, converged = _run_alm(state, cfg,
+                                lambda state: primal_sweep(state, X, cfg, zfactor, xxt),
                                 lambda state: _residual_blocks(state, X), lagrangian, callback)
     return _decomposition(X, state, trace, converged)

@@ -56,6 +56,18 @@ class TestDecompose:
     def test_missing_input(self, tmp_path):
         assert run(["decompose", "--out", tmp_path / "o"]) == 2
 
+    def test_config_hash_ignores_output_dir(self, tmp_path, rng):
+        img = tmp_path / "im.pgm"
+        save_pgm(ImageGrid(rng.integers(0, 256, (6, 6))), img)
+        manifests = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run(["decompose", "--input", img, "--out", out, "--max-iter", 5]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+        assert manifests[0]["config"]["out"] != manifests[1]["config"]["out"]
+        assert manifests[0]["config"]["input"] == [str(img)]
+
 
 class TestDenoise:
     def test_sweep_csv(self, tmp_path, fast_cfg):
@@ -64,6 +76,30 @@ class TestDenoise:
         lines = (out / "denoise.csv").read_text().strip().split("\n")
         assert lines[0] == "sweep_index,level,method,zeta_rec,zeta_emb"
         assert len(lines) == 6  # 5 pct points, one method
+
+    def test_unconverged_solves_are_reported(self, tmp_path, fast_cfg, capsys):
+        cfg = json.loads(fast_cfg.read_text())
+        cfg.update({"max_iter": 5, "methods": ["aslrc", "latlrr"], "pct_list": [10, 30]})
+        fast_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run(["denoise", "--config", fast_cfg, "--out", out]) == 0
+        warnings = capsys.readouterr().err.strip().split("\n")
+        assert len(warnings) == 4
+        assert warnings[0].startswith("warning: denoise: aslrc at level 10 did not converge "
+                                      "in 5 iterations (final residual ")
+        assert "latlrr at level 30" in warnings[3]
+        assert json.loads((out / "manifest.json").read_text())["summary"]["unconverged"] == 4
+        header = (out / "denoise.csv").read_text().split("\n")[0]
+        assert header == "sweep_index,level,method,zeta_rec,zeta_emb"
+
+    def test_converged_run_is_quiet(self, tmp_path, fast_cfg, capsys):
+        cfg = json.loads(fast_cfg.read_text())
+        cfg["max_iter"] = 300
+        fast_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run(["denoise", "--config", fast_cfg, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "manifest.json").read_text())["summary"]["unconverged"] == 0
 
 
 class TestClassify:
@@ -79,6 +115,19 @@ class TestClassify:
                         .split("\n")[1].split(","))
         assert mean >= 0.95
         assert std >= 0.0
+
+    def test_unconverged_solves_are_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"splits": 2, "dim": 6, "train_count": 5, "test_count": 5,
+                                   "max_iter": 3, "seed": 5}))
+        out = tmp_path / "out"
+        assert run(["classify", "--config", cfg, "--out", out]) == 0
+        warnings = capsys.readouterr().err.strip().split("\n")
+        assert [w.split(" did not")[0] for w in warnings] == [
+            "warning: classify: aslrc on split 0", "warning: classify: classifier on split 0",
+            "warning: classify: aslrc on split 1", "warning: classify: classifier on split 1"]
+        assert all("in 3 iterations (final residual " in w for w in warnings)
+        assert json.loads((out / "manifest.json").read_text())["summary"]["unconverged"] == 4
 
 
 class TestBenchSynth:
@@ -138,3 +187,16 @@ class TestHarness:
         manifest = json.loads((out / "manifest.json").read_text())
         assert {"config_hash", "version", "wall_clock_seconds",
                 "summary"} <= set(manifest)
+
+    def test_manifest_threads(self, tmp_path, fast_cfg, monkeypatch):
+        monkeypatch.setenv("LOLREC_THREADS", "2")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        out = tmp_path / "out"
+        assert run(["bench-synth", "--config", fast_cfg, "--out", out, "--max-iter", 5]) == 0
+        threads = json.loads((out / "manifest.json").read_text())["threads"]
+        assert threads["LOLREC_THREADS"] == 2
+        assert threads["blas_per_solve"] == "env"
+        assert threads["numpy"] == np.__version__
+        assert {"scipy", "openblas"} <= set(threads)
+        for lib in threads["openblas"]:
+            assert set(lib) == {"library", "version"}

@@ -1,0 +1,133 @@
+"""The one-BLAS-thread pin around every inexact-ALM solve, and the CLI's
+thread-independent output bytes."""
+
+import json
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from lolrec import blas, solver
+from lolrec.cli import main
+from lolrec.errors import NumericalError
+from lolrec.solver import SolverConfig, solve
+
+CFG = SolverConfig(max_iter=40)
+
+
+def setters():
+    return [lib.set_threads_local for lib in blas.loaded_openblas()
+            if lib.set_threads_local is not None]
+
+
+def counts():
+    """Every loaded OpenBLAS's thread count, read by setting it back unchanged."""
+    found = []
+    for set_threads in setters():
+        n = set_threads(1)
+        set_threads(n)
+        found.append(n)
+    return found
+
+
+@pytest.fixture
+def three_threads(monkeypatch):
+    """No BLAS variable set, every OpenBLAS on 3 threads; restored afterwards."""
+    if not setters():
+        pytest.skip("no OpenBLAS with openblas_set_num_threads_local is loaded")
+    for var in blas.BLAS_ENV_VARS:
+        monkeypatch.delenv(var, raising=False)
+    before = [set_threads(3) for set_threads in setters()]
+    yield
+    for set_threads, n in zip(setters(), before):
+        set_threads(n)
+
+
+def data():
+    return np.random.default_rng(0).standard_normal((8, 12))
+
+
+def test_solve_pins_and_restores(three_threads):
+    seen = []
+    solve(data(), CFG, callback=lambda state, residual: seen.append(counts()))
+    assert seen and all(c == [1] * len(setters()) for c in seen)
+    assert counts() == [3] * len(setters())
+
+
+def test_restored_after_numerical_error(three_threads, monkeypatch):
+    monkeypatch.setattr(solver, "update_E", lambda state, X, cfg: np.full(state.E.shape, np.nan))
+    with pytest.raises(NumericalError):
+        solve(data(), CFG)
+    assert counts() == [3] * len(setters())
+
+
+def test_blas_variable_wins(three_threads, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    seen = []
+    solve(data(), CFG, callback=lambda state, residual: seen.append(counts()))
+    assert all(c == [3] * len(setters()) for c in seen)
+    assert blas.solve_threads() == "env"
+
+
+def test_concurrent_solves_keep_the_pin_until_the_last_one_ends(three_threads):
+    """More solving threads than cores: no solve's exit undoes another's pin."""
+    n = 4
+    barrier = threading.Barrier(n, timeout=60)
+    seen, errors = [], []
+
+    def work():
+        try:
+            with blas.one_blas_thread():
+                barrier.wait()
+                solve(data(), CFG, callback=lambda state, residual: seen.append(counts()))
+                barrier.wait()
+                seen.append(counts())
+        except Exception as exc:  # reported below: a thread's exception is otherwise lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(seen) == n * (CFG.max_iter + 1)
+    assert all(c == [1] * len(setters()) for c in seen)
+    assert counts() == [3] * len(setters())
+
+
+def test_without_openblas_same_result(monkeypatch):
+    for var in blas.BLAS_ENV_VARS:
+        monkeypatch.delenv(var, raising=False)
+    pinned = solve(data(), CFG)
+    monkeypatch.setattr(blas, "loaded_openblas", lambda: ())
+    assert blas.solve_threads() == "unpinned"
+    unpinned = solve(data(), CFG)
+    assert np.array_equal(pinned.Z_star, unpinned.Z_star)
+    assert pinned.iterations == unpinned.iterations
+
+
+@pytest.mark.parametrize("subcommand,csv,extra", [
+    ("denoise", "denoise.csv", {"methods": ["aslrc", "latlrr"], "pct_list": [10, 30, 50]}),
+    ("grid", "grid.csv", {"grid_values": [0.01, 1.0]}),
+])
+def test_csv_bytes_independent_of_sweep_threads(tmp_path, monkeypatch, subcommand, csv, extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subspaces": 2, "sub_dim": 2, "ambient": 12, "n_per": 8,
+                               "max_iter": 120, "tol": 1e-4, "seed": 3, **extra}))
+    outputs = []
+    for n in ("1", "2"):
+        monkeypatch.setenv("LOLREC_THREADS", n)
+        out = tmp_path / f"out{n}"
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+        outputs.append((out / csv).read_bytes())
+        threads = json.loads((out / "manifest.json").read_text())["threads"]
+        assert threads["LOLREC_THREADS"] == int(n)
+    assert outputs[0] == outputs[1]

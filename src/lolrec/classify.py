@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import DegenerateFeatures, DimensionError
 from .prox import weighted_shrink
 from .solver import SolverConfig, _run_alm
@@ -46,12 +47,14 @@ class ClassifierModel:
     residual: float
 
 
+@one_blas_thread()
 def train_classifier(features, H, cfg=None, L_star=None):
     """Fit the sparse-error linear classifier on projected features.
 
     `features` is d x N (already projected, i.e. L_star @ X_train);
     `L_star` is stored in the model so prediction can project raw test
-    samples the same way (identity when omitted).
+    samples the same way (identity when omitted).  Runs on one BLAS thread,
+    as `solve` does.
     """
     cfg = cfg or SolverConfig()
     F = np.asarray(features, dtype=float)

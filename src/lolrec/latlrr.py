@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg import cho_solve
 
+from .blas import one_blas_thread
 from .prox import svt, thin_svd, weighted_shrink
 from .solver import (SolverConfig, _data_matrix, _decomposition, _penalized,
                      _run_alm, _spd_factor)
@@ -36,10 +37,12 @@ def latlrr_lagrangian(state, X, lam, blocks=None):
     return _penalized(value, state, blocks)
 
 
+@one_blas_thread()
 def latlrr_solve(X, lam=None, cfg=None, record_lagrangian=True, callback=None):
     """Solve the baseline decomposition; returns the same Decomposition shape.
 
-    `callback(state, residual)` runs after each sweep, as in `solve`.
+    `callback(state, residual)` runs after each sweep, and the whole solve
+    runs on one BLAS thread, as in `solve`.
     """
     cfg = cfg or SolverConfig()
     if lam is None:

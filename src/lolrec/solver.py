@@ -66,6 +66,8 @@ class AslrcState:
     Y6: np.ndarray
     mu: float
     iter: int = 0
+    # (L, X, L @ X) for the last product `_salient` computed; not a block.
+    _lx: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def blocks(self):
         return (self.Z, self.J, self.Q, self.R, self.S, self.W,
@@ -129,23 +131,48 @@ def _spd_solve(M, B):
     return cho_solve(_spd_factor(0.5 * (M + M.T)), B)
 
 
-def update_L(state, X, cfg, xxt=None):
+def update_L(state, X, cfg, basis=None):
     """Minimize the Lagrangian over the projection L (a linear solve).
 
-    L [2 beta (X - XR)(X - XR)' + mu (XX' + I)]
-        = Y1 X' - Y3 + mu (X - XZ - E) X' + mu F
+    L M = rhs with
+        M   = mu (XX' + I) + 2 beta DD',    D = X - XR
+        rhs = P X' + G,    P = Y1 + mu (X - XZ - E),    G = mu F - Y3.
 
-    `xxt` is X @ X.T, when the caller already has it.
+    XX' and DD' map into range(X), so the reduced QR X = QB (`basis`, built
+    here when not passed; Q is d x r orthonormal, r = min(d, N)) splits M:
+        M = mu (I - QQ') + Q K Q',    K = mu (I + BB') + 2 beta CC',    C = B - BR,
+    and an r x r solve with K (K >= mu I) replaces the d x d one:
+        L = G / mu + (W - GQ / mu) Q',    W = (P B' + GQ) K^-1,
+    which is W Q' when r = d.
     """
-    d = X.shape[0]
-    if xxt is None:
-        xxt = X @ X.T
-    XR = X @ state.R
-    D = X - XR
-    M = 2.0 * cfg.beta * (D @ D.T) + state.mu * (xxt + np.eye(d))
-    rhs = state.Y1 @ X.T - state.Y3 + state.mu * ((X - X @ state.Z - state.E) @ X.T) + state.mu * state.F
-    # L M = rhs with M symmetric, so solve M L' = rhs'.
-    return _spd_solve(M, rhs.T).T
+    Q, B = basis if basis is not None else np.linalg.qr(X)
+    mu = state.mu
+    C = B - B @ state.R
+    K = mu * (np.eye(B.shape[0]) + B @ B.T) + 2.0 * cfg.beta * (C @ C.T)
+    P = state.Y1 + mu * (X - X @ state.Z - state.E)
+    G = mu * state.F - state.Y3
+    GQ = G @ Q
+    # W K = P B' + GQ with K symmetric, so solve K W' = (P B' + GQ)'.
+    W = _spd_solve(K, (P @ B.T + GQ).T).T
+    if Q.shape[1] == Q.shape[0]:
+        # Q is square, so I - QQ' = 0: G / mu - (GQ / mu) Q' would add only
+        # rounding, of size eps |G| / mu, to L's components that K scales up.
+        return W @ Q.T
+    return G / mu + (W - GQ / mu) @ Q.T
+
+
+def _salient(state, X):
+    """L @ X for the state's current L, computed once per L and X.
+
+    `primal_sweep` computes it right after `update_L`; `update_Z`,
+    `update_E`, `update_R`, the residuals and the Lagrangian then reuse the
+    product.  Every update returns a new array, so a state whose L has been
+    replaced (or a different X) gets a fresh product.
+    """
+    cached = state._lx
+    if cached is None or cached[0] is not state.L or cached[1] is not X:
+        cached = state._lx = (state.L, X, state.L @ X)
+    return cached[2]
 
 
 def update_Z(state, X, zfactor=None):
@@ -154,7 +181,7 @@ def update_Z(state, X, zfactor=None):
     (2I + X'X) Z = (X'Y1 - Y2 - Y4)/mu + X'(X - LX - E) + J + Q
     """
     rhs = ((X.T @ state.Y1 - state.Y2 - state.Y4) / state.mu
-           + X.T @ (X - state.L @ X - state.E) + state.J + state.Q)
+           + X.T @ (X - _salient(state, X) - state.E) + state.J + state.Q)
     if zfactor is not None:
         return cho_solve(zfactor, rhs)
     N = X.shape[1]
@@ -168,7 +195,7 @@ def update_R(state, X, cfg):
     (2 beta A'A + 2 mu I) R = 2 beta A'A - Y5 + Y6 + mu S + mu (ones - W)
     """
     N = X.shape[1]
-    LX = state.L @ X
+    LX = _salient(state, X)
     AtA = LX.T @ LX + 1.0
     M = 2.0 * cfg.beta * AtA + 2.0 * state.mu * np.eye(N)
     rhs = (2.0 * cfg.beta * AtA - state.Y5 + state.Y6
@@ -209,14 +236,14 @@ def update_S(state, cfg):
 
 def update_E(state, X, cfg):
     """L1 prox: uniform shrink of X - XZ - LX + Y1/mu at lambda/mu."""
-    target = X - X @ state.Z - state.L @ X + state.Y1 / state.mu
+    target = X - X @ state.Z - _salient(state, X) + state.Y1 / state.mu
     return weighted_shrink(target, np.full(target.shape, cfg.lam / state.mu))
 
 
 def _residual_blocks(state, X):
     """The six constraint residuals, keyed by the multiplier that prices each."""
     return {
-        "Y1": X - X @ state.Z - state.L @ X - state.E,
+        "Y1": X - X @ state.Z - _salient(state, X) - state.E,
         "Y2": state.Z - state.J,
         "Y3": state.L - state.F,
         "Y4": state.Z - state.Q,
@@ -265,7 +292,7 @@ def augmented_lagrangian(state, X, cfg, blocks=None):
     if blocks is None:
         blocks = _residual_blocks(state, X)
     N = X.shape[1]
-    A = np.vstack([state.L @ X, np.ones((1, N))])
+    A = np.vstack([_salient(state, X), np.ones((1, N))])
     value = (
         thin_svd(state.J).singular_values.sum()
         + np.linalg.norm(state.F, axis=0).sum()
@@ -277,14 +304,16 @@ def augmented_lagrangian(state, X, cfg, blocks=None):
     return _penalized(value, state, blocks)
 
 
-def primal_sweep(state, X, cfg, zfactor=None, xxt=None):
+def primal_sweep(state, X, cfg, zfactor=None, basis=None):
     """One pass of block-coordinate updates at fixed multipliers and mu.
 
-    `zfactor` (Cholesky of 2I + X'X) and `xxt` (X @ X.T) are the sweep
-    constants, when the caller already has them.  Raises NumericalError if
-    a block of the state turns non-finite.
+    The sweep constants, when the caller already has them: `zfactor`, the
+    Cholesky factor of 2I + X'X, and `basis`, the reduced QR (Q, B) of X
+    that `update_L` works in.  L @ X is computed once, right after the L update.
+    Raises NumericalError if a block of the state turns non-finite.
     """
-    state.L = update_L(state, X, cfg, xxt)
+    state.L = update_L(state, X, cfg, basis)
+    _salient(state, X)
     state.Z = update_Z(state, X, zfactor)
     state.E = update_E(state, X, cfg)
     state.R = update_R(state, X, cfg)
@@ -304,25 +333,23 @@ def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None, callback=None)
     `residual_blocks(state)` maps each multiplier name to its constraint
     residual.  The blocks are built once per sweep and feed the convergence
     check, `lagrangian(state, blocks)`, the trace, `callback(state,
-    residual)` and the multiplier ascent.  The loop runs on one BLAS thread
-    (see `blas.one_blas_thread`).  Returns (trace, converged).
+    residual)` and the multiplier ascent.  Returns (trace, converged).
     """
     trace, converged = [], False
-    with one_blas_thread():
-        for _ in range(cfg.max_iter):
-            mu = state.mu
-            sweep(state)
-            blocks = residual_blocks(state)
-            residual = _max_abs(blocks)
-            converged = residual < cfg.tol
-            lag = lagrangian(state, blocks) if lagrangian is not None else float("nan")
-            trace.append(TracePoint(iteration=state.iter, residual=residual, mu=mu,
-                                    lagrangian=lag))
-            if callback is not None:
-                callback(state, residual)
-            _ascend(state, blocks, cfg)
-            if converged:
-                break
+    for _ in range(cfg.max_iter):
+        mu = state.mu
+        sweep(state)
+        blocks = residual_blocks(state)
+        residual = _max_abs(blocks)
+        converged = residual < cfg.tol
+        lag = lagrangian(state, blocks) if lagrangian is not None else float("nan")
+        trace.append(TracePoint(iteration=state.iter, residual=residual, mu=mu,
+                                lagrangian=lag))
+        if callback is not None:
+            callback(state, residual)
+        _ascend(state, blocks, cfg)
+        if converged:
+            break
     return trace, converged
 
 
@@ -339,21 +366,25 @@ def _decomposition(X, state, trace, converged):
                          trace=trace, converged=converged, iterations=state.iter)
 
 
+@one_blas_thread()
 def solve(X, cfg=None, record_lagrangian=True, callback=None):
     """Run the full inexact-ALM loop and return the converged decomposition.
 
     Stops when the max constraint residual drops below cfg.tol or after
     cfg.max_iter sweeps (returned with converged=False, not an error).
+    Everything from the set-up to the output products runs on one BLAS
+    thread (see `blas.one_blas_thread`), so the result does not depend on
+    the caller's BLAS thread count.
     """
     cfg = cfg or SolverConfig()
     X = _data_matrix(X)
     zfactor = _spd_factor(2.0 * np.eye(X.shape[1]) + X.T @ X)
-    xxt = X @ X.T
+    basis = np.linalg.qr(X)
 
     lagrangian = ((lambda state, blocks: augmented_lagrangian(state, X, cfg, blocks))
                   if record_lagrangian else None)
     state = init_state(X, cfg)
     trace, converged = _run_alm(state, cfg,
-                                lambda state: primal_sweep(state, X, cfg, zfactor, xxt),
+                                lambda state: primal_sweep(state, X, cfg, zfactor, basis),
                                 lambda state: _residual_blocks(state, X), lagrangian, callback)
     return _decomposition(X, state, trace, converged)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_beats_perturbations, fd_gradient, random_state
+from lolrec import solver
 from lolrec.errors import NumericalError
 from lolrec.solver import (SolverConfig, augmented_lagrangian, check_convergence,
                            init_state, primal_sweep, solve, update_E, update_F,
@@ -12,6 +13,20 @@ from lolrec.solver import (SolverConfig, augmented_lagrangian, check_convergence
 from lolrec.synth import SubspaceSpec, synth_subspaces
 
 CFG = SolverConfig(alpha=0.3, beta=0.2, lam=0.4)
+
+
+def l_system(state, X, cfg):
+    """The L subproblem L M = rhs, built densely in d x d."""
+    D = X - X @ state.R
+    M = state.mu * (X @ X.T + np.eye(X.shape[0])) + 2.0 * cfg.beta * (D @ D.T)
+    rhs = (state.Y1 + state.mu * (X - X @ state.Z - state.E)) @ X.T + state.mu * state.F - state.Y3
+    return M, rhs
+
+
+def cholesky_update_L(state, X, cfg, basis=None):
+    """Reference L update: Cholesky of the d x d system, as before the range basis."""
+    M, rhs = l_system(state, X, cfg)
+    return solver._spd_solve(M, rhs.T).T
 
 
 def lagrangian_as_function_of(block, state, X, cfg):
@@ -68,11 +83,40 @@ class TestUpdateL:
         assert update_L(s, X, cfg)[0, 0] == pytest.approx(4.0 / 5.0)
 
     def test_gradient_vanishes(self, rng):
-        X = rng.standard_normal((5, 7))
-        s = random_state(rng, 5, 7)
-        s.L = update_L(s, X, CFG)
-        g = fd_gradient(lagrangian_as_function_of("L", s, X, CFG), s.L)
-        assert np.linalg.norm(g) < 1e-8 * (1 + np.linalg.norm(s.L))
+        for d, N in [(5, 7), (9, 4)]:
+            X = rng.standard_normal((d, N))
+            s = random_state(rng, d, N)
+            s.L = update_L(s, X, CFG)
+            g = fd_gradient(lagrangian_as_function_of("L", s, X, CFG), s.L)
+            assert np.linalg.norm(g) < 1e-8 * (1 + np.linalg.norm(s.L)), (d, N)
+
+    @pytest.mark.parametrize("mu", [1e-6, 1.0, 1e4])
+    @pytest.mark.parametrize("shape", [
+        "tall", "square", "wide", "tall-repeated-columns", "wide-repeated-columns",
+        "no-rows", "no-samples",
+    ])
+    def test_matches_dense_solve(self, rng, shape, mu):
+        X = {
+            "tall": lambda: rng.standard_normal((40, 8)),
+            "square": lambda: rng.standard_normal((8, 8)),
+            "wide": lambda: rng.standard_normal((6, 9)),
+            "tall-repeated-columns": lambda: np.repeat(rng.standard_normal((30, 4)), 3, axis=1),
+            "wide-repeated-columns": lambda: np.repeat(rng.standard_normal((6, 3)), 4, axis=1),
+            "no-rows": lambda: np.zeros((0, 5)),
+            "no-samples": lambda: np.zeros((5, 0)),
+        }[shape]()
+        d, N = X.shape
+        s = random_state(rng, d, N, mu=mu)
+        L = update_L(s, X, CFG)
+        assert L.shape == (d, d)
+        M, rhs = l_system(s, X, CFG)
+        if d == 0:
+            return
+        norm = np.linalg.norm
+        backward = norm(L @ M - rhs) / (norm(L) * norm(M) + norm(rhs))
+        assert backward <= 1e-13
+        reference = np.linalg.solve(M, rhs.T).T
+        assert norm(L - reference) <= 1e-13 * np.linalg.cond(M) * norm(reference)
 
 
 class TestUpdateZ:
@@ -364,3 +408,59 @@ class TestSolve:
         X = rng.standard_normal((6, 8))
         dec = solve(X, SolverConfig(max_iter=3), record_lagrangian=False)
         assert not dec.converged and dec.iterations == 3
+
+
+class TestRangeBasis:
+    """`update_L` in the range of X against the d x d Cholesky reference."""
+
+    @pytest.mark.parametrize("instance", ["canonical", "tall-low-rank"])
+    def test_solve_matches_cholesky_reference(self, monkeypatch, instance):
+        if instance == "canonical":
+            X, _ = synth_subspaces(SubspaceSpec(k=3, sub_dim=3, d=50, n_per=20, disjoint=True,
+                                                noise_sigma=0.0, seed=1))
+            atol = 0.0
+        else:
+            r = np.random.default_rng(3)
+            X = r.standard_normal((120, 6)) @ r.standard_normal((6, 20))
+            # The last residuals (~1e-6) are differences of O(|X|) entries: the
+            # Cholesky path itself moves them by ~1e-13 absolute (1e-7 relative)
+            # when X changes by 1e-15 relative.
+            atol = 1e-12 * np.max(np.abs(X))
+        cfg = SolverConfig(alpha=0.01, beta=0.01, lam=0.015)
+        new = solve(X, cfg, record_lagrangian=False)
+        monkeypatch.setattr(solver, "update_L", cholesky_update_L)
+        ref = solve(X, cfg, record_lagrangian=False)
+        assert new.converged and new.iterations == ref.iterations
+        assert np.linalg.norm(new.Z_star - ref.Z_star) <= 1e-10 * np.linalg.norm(ref.Z_star)
+        np.testing.assert_allclose([p.residual for p in new.trace],
+                                   [p.residual for p in ref.trace], rtol=1e-8, atol=atol)
+
+    def test_no_factorization_wider_than_N(self, monkeypatch):
+        """With d > N every sweep factors only r x r (L) and N x N (R and Z) systems."""
+        shapes = []
+        factor = solver._spd_factor
+        monkeypatch.setattr(solver, "_spd_factor", lambda M: shapes.append(M.shape) or factor(M))
+        X = np.random.default_rng(0).standard_normal((60, 8))
+        dec = solve(X, SolverConfig(max_iter=30), record_lagrangian=False)
+        assert len(shapes) >= 2 * dec.iterations
+        assert max(max(shape) for shape in shapes) <= 8
+
+    def test_one_LX_product_per_sweep(self, rng):
+        """update_Z, update_E, update_R and the residuals share one L @ X per sweep."""
+        products = []
+
+        class CountingX(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and inputs[1] is self and inputs[0].shape == (len(self),) * 2:
+                    products.append(inputs[0])
+                inputs = [x.view(np.ndarray) if isinstance(x, CountingX) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        X = rng.standard_normal((12, 5))
+        basis = np.linalg.qr(X)
+        X = X.view(CountingX)
+        s = random_state(rng, 12, 5)
+        for _ in range(3):
+            primal_sweep(s, X, CFG, basis=basis)
+            update_multipliers_and_mu(s, X, CFG)
+        assert len(products) == 3

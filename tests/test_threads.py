@@ -2,12 +2,16 @@
 thread-independent output bytes."""
 
 import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lolrec
 from lolrec import blas, solver
 from lolrec.cli import main
 from lolrec.errors import NumericalError
@@ -112,6 +116,34 @@ def test_without_openblas_same_result(monkeypatch):
     unpinned = solve(data(), CFG)
     assert np.array_equal(pinned.Z_star, unpinned.Z_star)
     assert pinned.iterations == unpinned.iterations
+
+
+LIBRARY_SOLVES = """
+import sys
+import numpy as np
+from lolrec.latlrr import latlrr_solve
+from lolrec.solver import SolverConfig, solve
+X = np.random.default_rng(0).standard_normal((400, 12))
+cfg = SolverConfig(max_iter=30)
+with open(sys.argv[1], "wb") as fh:
+    for dec in (solve(X, cfg, record_lagrangian=False),
+                latlrr_solve(X, cfg.lam, cfg, record_lagrangian=False)):
+        fh.write(dec.salient.tobytes() + dec.principal.tobytes())
+"""
+
+
+def test_library_solve_bytes_independent_of_blas_threads(tmp_path):
+    """Set-up and output products run inside the pin too, so a library caller
+    under default BLAS threads gets the bytes of a one-thread run."""
+    env = {k: v for k, v in os.environ.items() if k not in blas.BLAS_ENV_VARS}
+    env["PYTHONPATH"] = str(Path(lolrec.__file__).parents[1])
+    outputs = []
+    for name, extra in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-c", LIBRARY_SOLVES, str(out)], env={**env, **extra},
+                       check=True, timeout=300)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("subcommand,csv,extra", [

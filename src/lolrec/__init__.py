@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .classify import ClassifierModel, one_hot, predict_labels, train_classifier
 from .latlrr import latlrr_solve
-from .matrix_io import (column_normalize, load_matrix_csv, load_pgm,
-                        save_matrix_csv, save_pgm)
+from .matrix_io import load_matrix_csv, load_pgm, save_matrix_csv, save_pgm
 from .prox import column_l21_shrink, scalar_shrink, svt, thin_svd, weighted_shrink
 from .solver import Decomposition, SolverConfig, solve
 from .synth import (SubspaceSpec, add_gaussian_noise_snr, classification_accuracy,

@@ -10,11 +10,12 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .blas import one_blas_thread
 from .errors import DegenerateFeatures, DimensionError
 from .prox import weighted_shrink
-from .solver import SolverConfig, _run_alm
+from .solver import SolverConfig, _data_matrix, _run_alm, _spd_factor
 
 
 def validate_labels(H):
@@ -57,7 +58,7 @@ def train_classifier(features, H, cfg=None, L_star=None):
     as `solve` does.
     """
     cfg = cfg or SolverConfig()
-    F = np.asarray(features, dtype=float)
+    F = _data_matrix(features)
     H = validate_labels(H)
     d, N = F.shape
     c = H.shape[0]
@@ -72,10 +73,10 @@ def train_classifier(features, H, cfg=None, L_star=None):
 
     Ht = H.T  # N x c
     delta = 1e-8 * np.trace(F @ F.T) / d
-    G = F @ F.T + delta * np.eye(d)
+    gfac = _spd_factor(F @ F.T + delta * np.eye(d))
 
     def sweep(s):
-        s.C = np.linalg.solve(G, F @ (Ht - s.Ec + s.Y / s.mu))
+        s.C = cho_solve(gfac, F @ (Ht - s.Ec + s.Y / s.mu))
         s.Ec = weighted_shrink(Ht - F.T @ s.C + s.Y / s.mu, np.full((N, c), 1.0 / s.mu))
 
     state = SimpleNamespace(C=np.zeros((d, c)), Ec=np.zeros((N, c)), Y=np.zeros((N, c)),

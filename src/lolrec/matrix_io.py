@@ -191,11 +191,3 @@ def tile_images(grids, cols, separator=2):
         x = c * (w + separator)
         canvas[y : y + h, x : x + w] = g.pixels
     return ImageGrid(canvas)
-
-
-def column_normalize(X):
-    """Scale each nonzero column to unit Euclidean norm; zero columns pass."""
-    X = np.asarray(X, dtype=float)
-    norms = np.linalg.norm(X, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    return X / safe

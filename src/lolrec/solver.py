@@ -8,7 +8,8 @@ block updates; a single augmented Lagrangian ties them together.
 
 Per-sweep update order is L, Z, E, R, then the splitting variables
 J, F, Q, W, S: the Z update consumes the fresh L, while L, R consume the
-previous sweep's Z, E, R and W, S respectively.
+previous sweep's Z, E, R and W, S respectively.  LatLRR (`latlrr.py`) shares
+the ALM loop (`_run_alm`), the L solve (`_solve_L`) and L @ X (`_salient`).
 """
 
 from dataclasses import dataclass, field
@@ -131,26 +132,19 @@ def _spd_solve(M, B):
     return cho_solve(_spd_factor(0.5 * (M + M.T)), B)
 
 
-def update_L(state, X, cfg, basis=None):
-    """Minimize the Lagrangian over the projection L (a linear solve).
+def _solve_L(basis, mu, P, G, extra=0.0):
+    """The L step of both models: solve L M = P X' + G in the range of X.
 
-    L M = rhs with
-        M   = mu (XX' + I) + 2 beta DD',    D = X - XR
-        rhs = P X' + G,    P = Y1 + mu (X - XZ - E),    G = mu F - Y3.
-
-    XX' and DD' map into range(X), so the reduced QR X = QB (`basis`, built
-    here when not passed; Q is d x r orthonormal, r = min(d, N)) splits M:
-        M = mu (I - QQ') + Q K Q',    K = mu (I + BB') + 2 beta CC',    C = B - BR,
+    M = mu (XX' + I) + Q extra Q', where (Q, B) = `basis` is the reduced QR
+    of X (Q is d x r orthonormal, r = min(d, N)) and `extra` is an r x r
+    term the model adds (ASLRC: 2 beta CC'; LatLRR: none).  XX' maps into
+    range(X), so M = mu (I - QQ') + Q K Q' with K = mu (I + BB') + extra,
     and an r x r solve with K (K >= mu I) replaces the d x d one:
         L = G / mu + (W - GQ / mu) Q',    W = (P B' + GQ) K^-1,
     which is W Q' when r = d.
     """
-    Q, B = basis if basis is not None else np.linalg.qr(X)
-    mu = state.mu
-    C = B - B @ state.R
-    K = mu * (np.eye(B.shape[0]) + B @ B.T) + 2.0 * cfg.beta * (C @ C.T)
-    P = state.Y1 + mu * (X - X @ state.Z - state.E)
-    G = mu * state.F - state.Y3
+    Q, B = basis
+    K = mu * (np.eye(B.shape[0]) + B @ B.T) + extra
     GQ = G @ Q
     # W K = P B' + GQ with K symmetric, so solve K W' = (P B' + GQ)'.
     W = _spd_solve(K, (P @ B.T + GQ).T).T
@@ -161,15 +155,28 @@ def update_L(state, X, cfg, basis=None):
     return G / mu + (W - GQ / mu) @ Q.T
 
 
+def update_L(state, X, cfg, basis=None):
+    """Minimize the Lagrangian over the projection L: `_solve_L` with
+    P = Y1 + mu (X - XZ - E), G = mu F - Y3 and extra = 2 beta CC', C = B - BR,
+    since ASLRC's term 2 beta DD' (D = X - XR) is Q extra Q'.  `basis`, the
+    reduced QR X = QB, is built here when not passed.
+    """
+    basis = basis if basis is not None else np.linalg.qr(X)
+    mu, B = state.mu, basis[1]
+    C = B - B @ state.R
+    return _solve_L(basis, mu, state.Y1 + mu * (X - X @ state.Z - state.E),
+                    mu * state.F - state.Y3, 2.0 * cfg.beta * (C @ C.T))
+
+
 def _salient(state, X):
     """L @ X for the state's current L, computed once per L and X.
 
-    `primal_sweep` computes it right after `update_L`; `update_Z`,
-    `update_E`, `update_R`, the residuals and the Lagrangian then reuse the
-    product.  Every update returns a new array, so a state whose L has been
-    replaced (or a different X) gets a fresh product.
+    Each model's sweep computes it right after its L update and caches it in
+    the state's `_lx`; the later block updates, the residuals, the Lagrangian
+    and `_decomposition` reuse it.  Every update returns a new array, so a
+    state whose L has been replaced (or a new X) gets a fresh product.
     """
-    cached = state._lx
+    cached = getattr(state, "_lx", None)
     if cached is None or cached[0] is not state.L or cached[1] is not X:
         cached = state._lx = (state.L, X, state.L @ X)
     return cached[2]
@@ -362,7 +369,7 @@ def _data_matrix(X):
 
 def _decomposition(X, state, trace, converged):
     return Decomposition(Z_star=state.Z, L_star=state.L, E_star=state.E,
-                         principal=X @ state.Z, salient=state.L @ X,
+                         principal=X @ state.Z, salient=_salient(state, X),
                          trace=trace, converged=converged, iterations=state.iter)
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from lolrec.classify import (one_hot, predict_labels, train_classifier,
                              validate_labels)
-from lolrec.errors import DegenerateFeatures, DimensionError
+from lolrec import classify
+from lolrec.errors import DegenerateFeatures, DimensionError, NumericalError
 from lolrec.solver import SolverConfig
 from lolrec.synth import classification_accuracy, synth_blobs
 
@@ -61,6 +62,21 @@ class TestTrain:
     def test_degenerate_features(self):
         with pytest.raises(DegenerateFeatures):
             train_classifier(np.zeros((4, 6)), one_hot([0, 1, 2, 0, 1, 2]))
+
+    @pytest.mark.parametrize("features,error", [
+        ("nan", "finite"), ("inf", "finite"), ("1e200", "Cholesky")])
+    def test_unusable_features_raise(self, monkeypatch, features, error):
+        # NaN and inf fail the input check; at 1e200 FF' overflows and the
+        # guarded factorization of the ridge system fails.
+        monkeypatch.setattr(classify, "_run_alm", lambda *a, **k: pytest.fail("a sweep ran"))
+        Xtr, ytr, _, _ = blob_split(0)
+        if features == "1e200":
+            Xtr = 1e200 * Xtr
+        else:
+            Xtr[0, 0] = float(features)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=error):
+                train_classifier(Xtr, one_hot(ytr))
 
 
 class TestPredict:

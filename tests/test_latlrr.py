@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lolrec import latlrr
 from lolrec.errors import NumericalError
 from lolrec.latlrr import latlrr_lagrangian, latlrr_solve
 from lolrec.solver import SolverConfig, solve
@@ -59,6 +60,13 @@ def test_sweep_monotone(rng):
     latlrr_solve(X, lam, SolverConfig(max_iter=30), record_lagrangian=False,
                  callback=watch)
     assert len(checked) == 29 and all(checked)
+
+
+@pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+def test_invalid_lambda_rejected_before_any_sweep(monkeypatch, lam):
+    monkeypatch.setattr(latlrr, "_run_alm", lambda *a, **k: pytest.fail("a sweep ran"))
+    with pytest.raises(ValueError, match="lam"):
+        latlrr_solve(np.ones((4, 6)), lam)
 
 
 def test_feasibility_residual_definition(rng):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from lolrec.errors import EmptyInput, FormatError, ParseError
-from lolrec.matrix_io import (ImageGrid, column_normalize, image_to_matrix,
-                              load_matrix_csv, load_pgm, matrix_to_image,
-                              save_matrix_csv, save_pgm, tile_images)
+from lolrec.matrix_io import (ImageGrid, image_to_matrix, load_matrix_csv, load_pgm,
+                              matrix_to_image, save_matrix_csv, save_pgm, tile_images)
 
 
 class TestCsv:
@@ -111,30 +110,3 @@ class TestPgm:
         assert canvas.pixels.shape == (8, 8)
         assert np.all(canvas.pixels[3:5, :] == 255)
         assert np.all(canvas.pixels[:, 3:5] == 255)
-
-
-class TestColumnNormalize:
-    def test_direct(self):
-        out = column_normalize(np.array([[3.0], [4.0]]))
-        np.testing.assert_allclose(out.ravel(), [0.6, 0.8])
-
-    def test_zero_column(self):
-        X = np.array([[0.0, 1.0], [0.0, 1.0]])
-        out = column_normalize(X)
-        np.testing.assert_array_equal(out[:, 0], [0.0, 0.0])
-
-    def test_unit_norms(self, rng):
-        out = column_normalize(rng.standard_normal((10, 5)))
-        np.testing.assert_allclose(np.linalg.norm(out, axis=0), 1.0, atol=1e-12)
-
-    def test_idempotent(self, rng):
-        X = rng.standard_normal((8, 6)) * 10
-        once = column_normalize(X)
-        np.testing.assert_allclose(column_normalize(once), once, atol=1e-12)
-
-    def test_preserves_direction(self, rng):
-        X = rng.standard_normal((8, 6))
-        out = column_normalize(X)
-        for j in range(6):
-            cos = X[:, j] @ out[:, j] / np.linalg.norm(X[:, j])
-            assert abs(cos - 1.0) < 1e-12

@@ -1,11 +1,14 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import assert_beats_perturbations, fd_gradient, random_state
-from lolrec import solver
+from lolrec import latlrr, solver
 from lolrec.errors import NumericalError
+from lolrec.latlrr import latlrr_solve
 from lolrec.solver import (SolverConfig, augmented_lagrangian, check_convergence,
                            init_state, primal_sweep, solve, update_E, update_F,
                            update_J, update_L, update_multipliers_and_mu,
@@ -27,6 +30,18 @@ def cholesky_update_L(state, X, cfg, basis=None):
     """Reference L update: Cholesky of the d x d system, as before the range basis."""
     M, rhs = l_system(state, X, cfg)
     return solver._spd_solve(M, rhs.T).T
+
+
+def cholesky_latlrr_L(X, calls):
+    """Reference LatLRR L step, as before the range basis: one d x d Cholesky
+    factor of I + XX' and d right-hand sides, L (XX' + I) = (P X' + G) / mu.
+    It stands in for `_solve_L` in `latlrr`; each call appends to `calls`."""
+    lfac = cho_factor(np.eye(X.shape[0]) + X @ X.T)
+
+    def step(basis, mu, P, G):
+        calls.append(mu)
+        return cho_solve(lfac, ((P @ X.T + G) / mu).T).T
+    return step
 
 
 def lagrangian_as_function_of(block, state, X, cfg):
@@ -91,11 +106,13 @@ class TestUpdateL:
             assert np.linalg.norm(g) < 1e-8 * (1 + np.linalg.norm(s.L)), (d, N)
 
     @pytest.mark.parametrize("mu", [1e-6, 1.0, 1e4])
-    @pytest.mark.parametrize("shape", [
-        "tall", "square", "wide", "tall-repeated-columns", "wide-repeated-columns",
-        "no-rows", "no-samples",
+    @pytest.mark.parametrize("shape,model", [
+        pytest.param(shape, model, id=shape if model == "aslrc" else f"{model}-{shape}")
+        for model in ("aslrc", "latlrr") for shape in (
+            "tall", "square", "wide", "tall-repeated-columns", "wide-repeated-columns",
+            "no-rows", "no-samples")
     ])
-    def test_matches_dense_solve(self, rng, shape, mu):
+    def test_matches_dense_solve(self, rng, shape, model, mu):
         X = {
             "tall": lambda: rng.standard_normal((40, 8)),
             "square": lambda: rng.standard_normal((8, 8)),
@@ -107,9 +124,15 @@ class TestUpdateL:
         }[shape]()
         d, N = X.shape
         s = random_state(rng, d, N, mu=mu)
-        L = update_L(s, X, CFG)
+        if model == "aslrc":
+            cfg, L = CFG, update_L(s, X, CFG)
+        else:
+            # LatLRR's L system is ASLRC's at beta = 0: no extra K term.
+            cfg = dataclasses.replace(CFG, beta=0.0)
+            L = solver._solve_L(np.linalg.qr(X), mu, s.Y1 + mu * (X - X @ s.Z - s.E),
+                                mu * s.F - s.Y3)
         assert L.shape == (d, d)
-        M, rhs = l_system(s, X, CFG)
+        M, rhs = l_system(s, X, cfg)
         if d == 0:
             return
         norm = np.linalg.norm
@@ -410,22 +433,34 @@ class TestSolve:
         assert not dec.converged and dec.iterations == 3
 
 
+def reference_instance(name):
+    """(X, residual atol) for the range-basis vs Cholesky-reference comparisons."""
+    if name == "canonical":
+        X, _ = synth_subspaces(SubspaceSpec(k=3, sub_dim=3, d=50, n_per=20, disjoint=True,
+                                            noise_sigma=0.0, seed=1))
+        return X, 0.0
+    r = np.random.default_rng(3)
+    X = r.standard_normal((120, 6)) @ r.standard_normal((6, 20))
+    # The last residuals (~1e-6) are differences of O(|X|) entries: the
+    # Cholesky path itself moves them by ~1e-13 absolute (1e-7 relative)
+    # when X changes by 1e-15 relative.
+    return X, 1e-12 * np.max(np.abs(X))
+
+
+# Each solver, the modules it looks its helpers up in, and its factorizations per sweep.
+SOLVERS = {
+    "aslrc": (lambda X, cfg: solve(X, cfg, record_lagrangian=False), (solver,), 2),
+    "latlrr": (lambda X, cfg: latlrr_solve(X, cfg=cfg, record_lagrangian=False),
+               (solver, latlrr), 1),
+}
+
+
 class TestRangeBasis:
-    """`update_L` in the range of X against the d x d Cholesky reference."""
+    """Both models' L update in the range of X against the d x d Cholesky reference."""
 
     @pytest.mark.parametrize("instance", ["canonical", "tall-low-rank"])
     def test_solve_matches_cholesky_reference(self, monkeypatch, instance):
-        if instance == "canonical":
-            X, _ = synth_subspaces(SubspaceSpec(k=3, sub_dim=3, d=50, n_per=20, disjoint=True,
-                                                noise_sigma=0.0, seed=1))
-            atol = 0.0
-        else:
-            r = np.random.default_rng(3)
-            X = r.standard_normal((120, 6)) @ r.standard_normal((6, 20))
-            # The last residuals (~1e-6) are differences of O(|X|) entries: the
-            # Cholesky path itself moves them by ~1e-13 absolute (1e-7 relative)
-            # when X changes by 1e-15 relative.
-            atol = 1e-12 * np.max(np.abs(X))
+        X, atol = reference_instance(instance)
         cfg = SolverConfig(alpha=0.01, beta=0.01, lam=0.015)
         new = solve(X, cfg, record_lagrangian=False)
         monkeypatch.setattr(solver, "update_L", cholesky_update_L)
@@ -435,32 +470,47 @@ class TestRangeBasis:
         np.testing.assert_allclose([p.residual for p in new.trace],
                                    [p.residual for p in ref.trace], rtol=1e-8, atol=atol)
 
-    def test_no_factorization_wider_than_N(self, monkeypatch):
-        """With d > N every sweep factors only r x r (L) and N x N (R and Z) systems."""
+    @pytest.mark.parametrize("instance", ["canonical", "tall-low-rank"])
+    def test_latlrr_matches_cholesky_reference(self, monkeypatch, instance):
+        X, _ = reference_instance(instance)
+        cfg = SolverConfig(lam=0.015)
+        new = latlrr_solve(X, cfg=cfg, record_lagrangian=False)
+        calls = []
+        monkeypatch.setattr(latlrr, "_solve_L", cholesky_latlrr_L(X, calls))
+        ref = latlrr_solve(X, cfg=cfg, record_lagrangian=False)
+        assert len(calls) == ref.iterations
+        assert new.converged and new.iterations == ref.iterations
+        assert np.linalg.norm(new.Z_star - ref.Z_star) <= 1e-10 * np.linalg.norm(ref.Z_star)
+
+    @pytest.mark.parametrize("method", sorted(SOLVERS))
+    def test_no_factorization_wider_than_N(self, monkeypatch, method):
+        """With d > N every factorization is r x r (L) or N x N (R and Z)."""
+        run, modules, per_sweep = SOLVERS[method]
         shapes = []
         factor = solver._spd_factor
-        monkeypatch.setattr(solver, "_spd_factor", lambda M: shapes.append(M.shape) or factor(M))
+        for module in modules:
+            monkeypatch.setattr(module, "_spd_factor",
+                                lambda M: shapes.append(M.shape) or factor(M))
         X = np.random.default_rng(0).standard_normal((60, 8))
-        dec = solve(X, SolverConfig(max_iter=30), record_lagrangian=False)
-        assert len(shapes) >= 2 * dec.iterations
+        dec = run(X, SolverConfig(max_iter=30))
+        assert len(shapes) >= per_sweep * dec.iterations
         assert max(max(shape) for shape in shapes) <= 8
 
-    def test_one_LX_product_per_sweep(self, rng):
-        """update_Z, update_E, update_R and the residuals share one L @ X per sweep."""
+    @pytest.mark.parametrize("method", sorted(SOLVERS))
+    def test_one_LX_product_per_sweep(self, monkeypatch, rng, method):
+        """The block updates, the residuals and the output share one L @ X per sweep."""
         products = []
 
         class CountingX(np.ndarray):
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul and inputs[1] is self and inputs[0].shape == (len(self),) * 2:
+                if ufunc is np.matmul and inputs[1] is X and inputs[0].shape == (len(X),) * 2:
                     products.append(inputs[0])
                 inputs = [x.view(np.ndarray) if isinstance(x, CountingX) else x for x in inputs]
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
-        X = rng.standard_normal((12, 5))
-        basis = np.linalg.qr(X)
-        X = X.view(CountingX)
-        s = random_state(rng, 12, 5)
-        for _ in range(3):
-            primal_sweep(s, X, CFG, basis=basis)
-            update_multipliers_and_mu(s, X, CFG)
-        assert len(products) == 3
+        run, modules, _ = SOLVERS[method]
+        # The input check would return a plain array, so it is skipped.
+        monkeypatch.setattr(modules[-1], "_data_matrix", lambda X: X)
+        X = rng.standard_normal((12, 5)).view(CountingX)
+        dec = run(X, SolverConfig(max_iter=3))
+        assert dec.iterations == 3 and len(products) == 3

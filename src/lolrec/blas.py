@@ -17,7 +17,8 @@ changes the count for the whole process, not only for the calling thread
 (a second thread reads the count the first one set).  So the pin is
 reference-counted across threads: the first solve to start sets one
 thread, and the last one to finish restores the previous count.  Solves
-running on several sweep threads never undo each other's pin.
+running on several sweep threads never undo each other's pin.  OpenMP builds,
+where the count may be per thread, are untested.
 """
 
 import ctypes

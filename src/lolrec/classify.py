@@ -55,7 +55,8 @@ def train_classifier(features, H, cfg=None, L_star=None):
     `features` is d x N (already projected, i.e. L_star @ X_train);
     `L_star` is stored in the model so prediction can project raw test
     samples the same way (identity when omitted).  Runs on one BLAS thread,
-    as `solve` does.
+    as `solve` does.  A sweep that leaves the state non-finite raises
+    NumericalError.
     """
     cfg = cfg or SolverConfig()
     F = _data_matrix(features)
@@ -76,7 +77,7 @@ def train_classifier(features, H, cfg=None, L_star=None):
     gfac = _spd_factor(F @ F.T + delta * np.eye(d))
 
     def sweep(s):
-        s.C = cho_solve(gfac, F @ (Ht - s.Ec + s.Y / s.mu))
+        s.C = cho_solve(gfac, F @ (Ht - s.Ec + s.Y / s.mu), check_finite=False)
         s.Ec = weighted_shrink(Ht - F.T @ s.C + s.Y / s.mu, np.full((N, c), 1.0 / s.mu))
 
     state = SimpleNamespace(C=np.zeros((d, c)), Ec=np.zeros((N, c)), Y=np.zeros((N, c)),

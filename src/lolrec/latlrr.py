@@ -44,7 +44,8 @@ def latlrr_solve(X, lam=None, cfg=None, record_lagrangian=True, callback=None):
     """Solve the baseline decomposition; returns the same Decomposition shape.
 
     `lam` defaults to `cfg.lam`.  `callback(state, residual)` runs after each
-    sweep, and the whole solve runs on one BLAS thread, as in `solve`.
+    sweep, and the whole solve runs on one BLAS thread, as in `solve`.  A
+    sweep that leaves the state non-finite raises NumericalError.
     """
     cfg = cfg or SolverConfig()
     if lam is not None:
@@ -60,7 +61,8 @@ def latlrr_solve(X, lam=None, cfg=None, record_lagrangian=True, callback=None):
         s.L = _solve_L(basis, s.mu, s.Y1 + s.mu * (X - X @ s.Z - s.E), s.mu * s.F - s.Y3)
         LX = _salient(s, X)
         # (X'X + I) Z = X'(X - LX - E) + J + (X'Y1 - Y2)/mu
-        s.Z = cho_solve(zfac, X.T @ (X - LX - s.E) + s.J + (X.T @ s.Y1 - s.Y2) / s.mu)
+        s.Z = cho_solve(zfac, X.T @ (X - LX - s.E) + s.J + (X.T @ s.Y1 - s.Y2) / s.mu,
+                        check_finite=False)
         s.E = weighted_shrink(X - X @ s.Z - LX + s.Y1 / s.mu, np.full((d, N), lam / s.mu))
         s.J = svt(s.Z + s.Y2 / s.mu, 1.0 / s.mu)
         s.F = svt(s.L + s.Y3 / s.mu, 1.0 / s.mu)

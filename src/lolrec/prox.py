@@ -13,25 +13,12 @@ import scipy.linalg
 
 from .errors import DimensionError, InvalidThreshold, NumericalError
 
-# Singular values below RANK_TOL * sigma_max count as zero for rank purposes.
-RANK_TOL = 1e-12
-
 
 @dataclass
 class ThinSvd:
     U: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray
-
-    @property
-    def rank(self):
-        s = self.singular_values
-        if s.size == 0 or s[0] == 0:
-            return 0
-        return int(np.count_nonzero(s > RANK_TOL * s[0]))
-
-    def reconstruct(self):
-        return (self.U * self.singular_values) @ self.V.T
 
 
 def _require_finite(M, who):

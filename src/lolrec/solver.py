@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .blas import one_blas_thread
-from .errors import NumericalError
+from .errors import DimensionError, NumericalError
 from .prox import column_l21_shrink, svt, thin_svd, weighted_shrink
 
 
@@ -43,8 +43,7 @@ class SolverConfig:
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         for name in ("alpha", "beta", "lam"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
+            if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
 
 
@@ -69,11 +68,6 @@ class AslrcState:
     iter: int = 0
     # (L, X, L @ X) for the last product `_salient` computed; not a block.
     _lx: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def blocks(self):
-        return (self.Z, self.J, self.Q, self.R, self.S, self.W,
-                self.L, self.F, self.E,
-                self.Y1, self.Y2, self.Y3, self.Y4, self.Y5, self.Y6)
 
 
 @dataclass
@@ -109,12 +103,6 @@ def init_state(X, cfg=None):
     )
 
 
-def _check_finite(state):
-    for block in state.blocks():
-        if not np.all(np.isfinite(block)):
-            raise NumericalError("non-finite state block", iteration=state.iter)
-
-
 def _spd_factor(M):
     """Cholesky factor of SPD M; one trace-scaled jitter retry, then NumericalError."""
     try:
@@ -129,7 +117,7 @@ def _spd_factor(M):
 
 def _spd_solve(M, B):
     """Solve M @ X = B for symmetric positive-definite M."""
-    return cho_solve(_spd_factor(0.5 * (M + M.T)), B)
+    return cho_solve(_spd_factor(0.5 * (M + M.T)), B, check_finite=False)
 
 
 def _solve_L(basis, mu, P, G, extra=0.0):
@@ -190,7 +178,7 @@ def update_Z(state, X, zfactor=None):
     rhs = ((X.T @ state.Y1 - state.Y2 - state.Y4) / state.mu
            + X.T @ (X - _salient(state, X) - state.E) + state.J + state.Q)
     if zfactor is not None:
-        return cho_solve(zfactor, rhs)
+        return cho_solve(zfactor, rhs, check_finite=False)
     N = X.shape[1]
     return _spd_solve(2.0 * np.eye(N) + X.T @ X, rhs)
 
@@ -260,8 +248,8 @@ def _residual_blocks(state, X):
 
 
 def _max_abs(blocks):
-    """Max entrywise-infinity norm over residual blocks (0 for empty blocks)."""
-    return float(max(np.max(np.abs(b)) if b.size else 0.0 for b in blocks.values()))
+    """Max entrywise-infinity norm over residual blocks (0 for empty ones); NaN propagates."""
+    return float(np.max([np.max(np.abs(b)) if b.size else 0.0 for b in blocks.values()]))
 
 
 def _ascend(state, blocks, cfg):
@@ -295,7 +283,6 @@ def augmented_lagrangian(state, X, cfg, blocks=None):
 
     `blocks` are the state's residual blocks, when the caller already has them.
     """
-    _check_finite(state)
     if blocks is None:
         blocks = _residual_blocks(state, X)
     N = X.shape[1]
@@ -317,7 +304,6 @@ def primal_sweep(state, X, cfg, zfactor=None, basis=None):
     The sweep constants, when the caller already has them: `zfactor`, the
     Cholesky factor of 2I + X'X, and `basis`, the reduced QR (Q, B) of X
     that `update_L` works in.  L @ X is computed once, right after the L update.
-    Raises NumericalError if a block of the state turns non-finite.
     """
     state.L = update_L(state, X, cfg, basis)
     _salient(state, X)
@@ -329,7 +315,6 @@ def primal_sweep(state, X, cfg, zfactor=None, basis=None):
     state.Q = update_Q(state, cfg)
     state.W = update_W(state, cfg)
     state.S = update_S(state, cfg)
-    _check_finite(state)
     return state
 
 
@@ -341,16 +326,19 @@ def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None, callback=None)
     residual.  The blocks are built once per sweep and feed the convergence
     check, `lagrangian(state, blocks)`, the trace, `callback(state,
     residual)` and the multiplier ascent.  Returns (trace, converged).
+    Every primal block enters a residual block, so a non-finite residual is
+    the one check of the state: that sweep raises NumericalError.
     """
     trace, converged = [], False
     for _ in range(cfg.max_iter):
-        mu = state.mu
         sweep(state)
         blocks = residual_blocks(state)
         residual = _max_abs(blocks)
+        if not np.isfinite(residual):
+            raise NumericalError("non-finite solver state", iteration=state.iter)
         converged = residual < cfg.tol
         lag = lagrangian(state, blocks) if lagrangian is not None else float("nan")
-        trace.append(TracePoint(iteration=state.iter, residual=residual, mu=mu,
+        trace.append(TracePoint(iteration=state.iter, residual=residual, mu=state.mu,
                                 lagrangian=lag))
         if callback is not None:
             callback(state, residual)
@@ -364,6 +352,8 @@ def _data_matrix(X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or not np.all(np.isfinite(X)):
         raise NumericalError("X must be a finite 2-D matrix")
+    if X.shape[0] == 0:
+        raise DimensionError("X has no rows (features)")
     return X
 
 
@@ -378,7 +368,8 @@ def solve(X, cfg=None, record_lagrangian=True, callback=None):
     """Run the full inexact-ALM loop and return the converged decomposition.
 
     Stops when the max constraint residual drops below cfg.tol or after
-    cfg.max_iter sweeps (returned with converged=False, not an error).
+    cfg.max_iter sweeps (returned with converged=False, not an error); a
+    sweep that leaves the state non-finite raises NumericalError.
     Everything from the set-up to the output products runs on one BLAS
     thread (see `blas.one_blas_thread`), so the result does not depend on
     the caller's BLAS thread count.

@@ -63,6 +63,10 @@ class TestTrain:
         with pytest.raises(DegenerateFeatures):
             train_classifier(np.zeros((4, 6)), one_hot([0, 1, 2, 0, 1, 2]))
 
+    def test_no_feature_rows(self):
+        with pytest.raises(DimensionError):
+            train_classifier(np.zeros((0, 6)), one_hot([0, 1, 2, 0, 1, 2]))
+
     @pytest.mark.parametrize("features,error", [
         ("nan", "finite"), ("inf", "finite"), ("1e200", "Cholesky")])
     def test_unusable_features_raise(self, monkeypatch, features, error):

@@ -3,8 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lolrec import latlrr
-from lolrec.errors import NumericalError
+from lolrec import latlrr, solver
+from lolrec.errors import DimensionError, NumericalError
 from lolrec.latlrr import latlrr_lagrangian, latlrr_solve
 from lolrec.solver import SolverConfig, solve
 from lolrec.synth import SubspaceSpec, reconstruction_accuracy, synth_subspaces
@@ -85,6 +85,14 @@ PAIRED = {"aslrc": lambda X, cfg: solve(X, cfg),
 def test_no_samples_converges_empty(method):
     dec = PAIRED[method](np.zeros((4, 0)), SolverConfig())
     assert dec.converged and dec.Z_star.shape == (0, 0)
+
+
+@pytest.mark.parametrize("method", sorted(PAIRED))
+def test_no_features_rejected(monkeypatch, method):
+    for module in (solver, latlrr):
+        monkeypatch.setattr(module, "_run_alm", lambda *a, **k: pytest.fail("a sweep ran"))
+    with pytest.raises(DimensionError, match="no rows"):
+        PAIRED[method](np.zeros((0, 5)), SolverConfig())
 
 
 @pytest.mark.parametrize("scale", [1e8, 1e200])

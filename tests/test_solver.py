@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import assert_beats_perturbations, fd_gradient, random_state
-from lolrec import latlrr, solver
+from lolrec import classify, latlrr, solver
 from lolrec.errors import NumericalError
 from lolrec.latlrr import latlrr_solve
 from lolrec.solver import (SolverConfig, augmented_lagrangian, check_convergence,
@@ -66,7 +66,9 @@ class TestInitState:
     def test_all_zero(self, rng):
         X = rng.standard_normal((4, 6))
         s = init_state(X)
-        for b in s.blocks():
+        blocks = [b for b in vars(s).values() if isinstance(b, np.ndarray)]
+        assert len(blocks) == 15
+        for b in blocks:
             np.testing.assert_array_equal(b, 0.0)
         assert s.mu == 1e-6 and s.iter == 0
 
@@ -333,6 +335,13 @@ class TestScheduleAndConvergence:
         ok, res = check_convergence(s, X, SolverConfig(tol=1e-6))
         assert not ok and res == pytest.approx(2e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [0, 1, 5])
+    def test_max_abs_not_finite_when_any_block_is(self, bad, position):
+        blocks = {f"Y{k + 1}": np.full((2, 2), 0.5) for k in range(6)}
+        blocks[f"Y{position + 1}"][1, 0] = bad
+        assert not np.isfinite(solver._max_abs(blocks))
+
 
 class TestAugmentedLagrangian:
     def test_zero_state_zero_data(self):
@@ -514,3 +523,36 @@ class TestRangeBasis:
         X = rng.standard_normal((12, 5)).view(CountingX)
         dec = run(X, SolverConfig(max_iter=3))
         assert dec.iterations == 3 and len(products) == 3
+
+
+# (model, module, step, calls per sweep) for every step of every model's sweep.
+SWEEP_STEPS = (
+    [("aslrc", solver, f"update_{b}", 1) for b in "LZERJFQWS"]
+    + [("latlrr", latlrr, "_solve_L", 1), ("latlrr", latlrr, "cho_solve", 1),
+       ("latlrr", latlrr, "weighted_shrink", 1), ("latlrr", latlrr, "svt", 2)]
+    + [("classifier", classify, "cho_solve", 1), ("classifier", classify, "weighted_shrink", 1)]
+)
+MODELS = {"aslrc": lambda X, labels: solve(X, CFG, record_lagrangian=False),
+          "latlrr": lambda X, labels: latlrr_solve(X, cfg=CFG, record_lagrangian=False),
+          "classifier": lambda X, labels: classify.train_classifier(X, classify.one_hot(labels))}
+
+
+@pytest.mark.parametrize("model,module,step,per_sweep", [
+    pytest.param(*case, id=f"{case[0]}-{case[2]}") for case in SWEEP_STEPS])
+def test_nan_in_any_step_raises_in_its_sweep(monkeypatch, model, module, step, per_sweep):
+    """A NaN in one entry of any step's output raises NumericalError in that sweep."""
+    real, calls = getattr(module, step), []
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(step)
+        if len(calls) == 3:
+            out = out.copy()
+            out[0, -1] = np.nan
+        return out
+
+    monkeypatch.setattr(module, step, poisoned)
+    X, labels = synth_subspaces(SubspaceSpec(k=2, sub_dim=2, d=12, n_per=8, seed=1))
+    with pytest.raises(NumericalError):
+        MODELS[model](X, labels)
+    assert len(calls) < 3 + per_sweep  # the step ran in no later sweep

@@ -33,8 +33,9 @@ def latlrr_lagrangian(state, X, lam, blocks=None):
     """
     if blocks is None:
         blocks = _residual_blocks(state, X)
-    value = (thin_svd(state.J).singular_values.sum()
-             + thin_svd(state.F).singular_values.sum()
+    # svt returns an all-zero J or F below its threshold; its nuclear norm is 0.
+    value = ((thin_svd(state.J).singular_values.sum() if state.J.any() else 0.0)
+             + (thin_svd(state.F).singular_values.sum() if state.F.any() else 0.0)
              + lam * np.abs(state.E).sum())
     return _penalized(value, state, blocks)
 

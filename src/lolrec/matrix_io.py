@@ -42,11 +42,11 @@ def save_matrix_csv(m, path):
     float64 round-trip.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
+    line = ",".join(["%.17g"] * m.shape[1]) + "\n"
     try:
         with open(path, "w") as fh:
             for row in m:
-                fh.write(",".join("%.17g" % v for v in row))
-                fh.write("\n")
+                fh.write(line % tuple(row.tolist()))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

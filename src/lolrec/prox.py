@@ -62,9 +62,29 @@ def thin_svd(M):
 
 
 def svt(M, tau):
-    """Singular value thresholding: prox of tau * nuclear norm at M."""
+    """Singular value thresholding: prox of tau * nuclear norm at M.
+
+    When every singular value is at most tau the result is exactly zero, so
+    the SVD is skipped if a cheap upper bound on sigma_max(M),
+    min(||M||_F, sqrt(||M||_1 ||M||_inf)), is at most tau (1 - (size + 2) eps).
+    The margin covers the bound's own rounding: each norm is a sum of at
+    most M.size terms, so the computed bound is below the exact one by less
+    than (size + 2) eps relative.  Below tau = 1e-150 the squares in ||M||_F
+    could underflow, so the SVD always runs there.  A non-finite M raises
+    NumericalError at any tau.
+    """
     if tau < 0:
         raise InvalidThreshold(f"negative threshold {tau}")
+    M = np.asarray(M, dtype=float)
+    _require_finite(M, "svt")
+    if M.size == 0:
+        return np.zeros(M.shape)
+    if tau >= 1e-150:
+        A = np.abs(M)
+        bound = min(np.linalg.norm(M),
+                    np.sqrt(A.sum(axis=0).max() * A.sum(axis=1).max()))
+        if bound <= tau * (1.0 - (M.size + 2) * np.finfo(float).eps):
+            return np.zeros(M.shape)
     f = thin_svd(M)
     s = np.maximum(f.singular_values - tau, 0.0)
     return (f.U * s) @ f.V.T

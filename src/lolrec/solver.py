@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .blas import one_blas_thread
 from .errors import DimensionError, NumericalError
-from .prox import column_l21_shrink, svt, thin_svd, weighted_shrink
+from .prox import _require_finite, column_l21_shrink, svt, thin_svd, weighted_shrink
 
 
 @dataclass
@@ -104,10 +104,14 @@ def init_state(X, cfg=None):
 
 
 def _spd_factor(M):
-    """Cholesky factor of SPD M; one trace-scaled jitter retry, then NumericalError."""
+    """Cholesky factor of SPD M; one trace-scaled jitter retry, then NumericalError.
+
+    A non-finite M raises NumericalError at once: no jitter can repair it.
+    """
+    _require_finite(M, "Cholesky factorization")
     try:
-        return cho_factor(M)
-    except (np.linalg.LinAlgError, ValueError):
+        return cho_factor(M, check_finite=False)
+    except np.linalg.LinAlgError:
         jitter = 1e-12 * max(np.trace(M), 1.0)
         try:
             return cho_factor(M + jitter * np.eye(M.shape[0]))
@@ -288,7 +292,8 @@ def augmented_lagrangian(state, X, cfg, blocks=None):
     N = X.shape[1]
     A = np.vstack([_salient(state, X), np.ones((1, N))])
     value = (
-        thin_svd(state.J).singular_values.sum()
+        # svt returns an all-zero J below its threshold; its nuclear norm is 0.
+        (thin_svd(state.J).singular_values.sum() if state.J.any() else 0.0)
         + np.linalg.norm(state.F, axis=0).sum()
         + cfg.alpha * np.abs(state.W * state.Q).sum()
         + cfg.beta * (np.linalg.norm(A - A @ state.R, "fro") ** 2
@@ -327,11 +332,17 @@ def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None, callback=None)
     check, `lagrangian(state, blocks)`, the trace, `callback(state,
     residual)` and the multiplier ascent.  Returns (trace, converged).
     Every primal block enters a residual block, so a non-finite residual is
-    the one check of the state: that sweep raises NumericalError.
+    the one check of the state: that sweep raises NumericalError.  A
+    NumericalError raised inside a sweep carries that sweep's iteration.
     """
     trace, converged = [], False
     for _ in range(cfg.max_iter):
-        sweep(state)
+        try:
+            sweep(state)
+        except NumericalError as exc:
+            if exc.iteration is None:
+                exc.iteration = state.iter
+            raise
         blocks = residual_blocks(state)
         residual = _max_abs(blocks)
         if not np.isfinite(residual):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference import per_entry_csv
 from lolrec.errors import EmptyInput, FormatError, ParseError
 from lolrec.matrix_io import (ImageGrid, image_to_matrix, load_matrix_csv, load_pgm,
                               matrix_to_image, save_matrix_csv, save_pgm, tile_images)
@@ -28,6 +29,16 @@ class TestCsv:
         p = tmp_path / "m.csv"
         save_matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0]]), p)
         assert p.read_text() == "1,2\n3,4\n"
+
+    @pytest.mark.parametrize("M", [
+        np.array([[-0.0, 5e-324, 1e308], [-1e308, np.nan, np.inf], [-np.inf, 0.1, 1.0 / 3.0]]),
+        np.zeros((3, 0)),
+        np.zeros((0, 3)),
+    ], ids=["special-values", "no-columns", "no-rows"])
+    def test_save_bytes_match_per_entry_format(self, tmp_path, M):
+        p = tmp_path / "m.csv"
+        save_matrix_csv(M, p)
+        assert p.read_bytes() == per_entry_csv(M).encode()
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "m.csv"

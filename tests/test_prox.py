@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_beats_perturbations
+from reference import reference_svt
 from lolrec.errors import DimensionError, InvalidThreshold, NumericalError
 from lolrec.prox import (column_l21_shrink, scalar_shrink, svt, thin_svd,
                          weighted_shrink)
@@ -92,6 +93,27 @@ class TestSvt:
     def test_non_finite(self):
         with pytest.raises(NumericalError):
             svt(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_above_any_bound(self, bad):
+        """The zero shortcut never hides a non-finite input."""
+        with pytest.raises(NumericalError):
+            svt(np.array([[bad, 0.0], [0.0, 1.0]]), 1e300)
+
+    @pytest.mark.parametrize("scale", [1 + 1e-13, 1 - 1e-13, 0.0, 10.0])
+    @pytest.mark.parametrize("kind", ["random", "rank-one", "no-rows", "no-columns"])
+    def test_equals_full_svd_reference(self, rng, kind, scale):
+        """Around tau = sigma_max the shortcut and the SVD path must agree; a
+        rank-one M is where ||M||_F = sigma_max, so the bound is tight."""
+        M = {"random": lambda: rng.standard_normal((7, 5)),
+             "rank-one": lambda: np.outer(rng.standard_normal(6), rng.standard_normal(4)),
+             "no-rows": lambda: np.zeros((0, 5)),
+             "no-columns": lambda: np.zeros((5, 0))}[kind]()
+        sigma_max = np.linalg.svd(M, compute_uv=False).max(initial=0.0)
+        tau = scale * sigma_max
+        out = svt(M, tau)
+        assert out.shape == M.shape
+        assert np.array_equal(out, reference_svt(M, tau))
 
 
 class TestColumnL21Shrink:

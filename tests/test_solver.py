@@ -3,10 +3,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
 from conftest import assert_beats_perturbations, fd_gradient, random_state
-from lolrec import classify, latlrr, solver
+from reference import cholesky_latlrr_L, cholesky_update_L, l_system, reference_svt
+from lolrec import classify, latlrr, prox, solver
 from lolrec.errors import NumericalError
 from lolrec.latlrr import latlrr_solve
 from lolrec.solver import (SolverConfig, augmented_lagrangian, check_convergence,
@@ -16,32 +16,6 @@ from lolrec.solver import (SolverConfig, augmented_lagrangian, check_convergence
 from lolrec.synth import SubspaceSpec, synth_subspaces
 
 CFG = SolverConfig(alpha=0.3, beta=0.2, lam=0.4)
-
-
-def l_system(state, X, cfg):
-    """The L subproblem L M = rhs, built densely in d x d."""
-    D = X - X @ state.R
-    M = state.mu * (X @ X.T + np.eye(X.shape[0])) + 2.0 * cfg.beta * (D @ D.T)
-    rhs = (state.Y1 + state.mu * (X - X @ state.Z - state.E)) @ X.T + state.mu * state.F - state.Y3
-    return M, rhs
-
-
-def cholesky_update_L(state, X, cfg, basis=None):
-    """Reference L update: Cholesky of the d x d system, as before the range basis."""
-    M, rhs = l_system(state, X, cfg)
-    return solver._spd_solve(M, rhs.T).T
-
-
-def cholesky_latlrr_L(X, calls):
-    """Reference LatLRR L step, as before the range basis: one d x d Cholesky
-    factor of I + XX' and d right-hand sides, L (XX' + I) = (P X' + G) / mu.
-    It stands in for `_solve_L` in `latlrr`; each call appends to `calls`."""
-    lfac = cho_factor(np.eye(X.shape[0]) + X @ X.T)
-
-    def step(basis, mu, P, G):
-        calls.append(mu)
-        return cho_solve(lfac, ((P @ X.T + G) / mu).T).T
-    return step
 
 
 def lagrangian_as_function_of(block, state, X, cfg):
@@ -525,6 +499,33 @@ class TestRangeBasis:
         assert dec.iterations == 3 and len(products) == 3
 
 
+class TestSvtSkip:
+    """`svt` returns zeros without an SVD when a bound shows sigma_max <= tau."""
+
+    @pytest.mark.parametrize("method", sorted(SOLVERS))
+    def test_solve_equals_full_svd_reference(self, monkeypatch, method):
+        X, _ = reference_instance("canonical")
+        cfg = SolverConfig(alpha=0.01, beta=0.01, lam=0.015)
+        run = {"aslrc": lambda: solve(X, cfg),
+               "latlrr": lambda: latlrr_solve(X, cfg=cfg)}[method]
+        new = run()
+        for module in SOLVERS[method][1]:
+            monkeypatch.setattr(module, "svt", reference_svt)
+        ref = run()
+        assert new.converged and new.iterations == ref.iterations
+        for block in ("Z_star", "L_star", "E_star"):
+            assert np.array_equal(getattr(new, block), getattr(ref, block)), block
+        assert new.trace == ref.trace
+
+    def test_fewer_svds_than_sweeps(self, monkeypatch):
+        X, _ = reference_instance("canonical")
+        calls = []
+        real = prox.thin_svd
+        monkeypatch.setattr(prox, "thin_svd", lambda M: calls.append(M.shape) or real(M))
+        dec = solve(X, SolverConfig(alpha=0.01, beta=0.01, lam=0.015), record_lagrangian=False)
+        assert dec.converged and 0 < len(calls) < dec.iterations
+
+
 # (model, module, step, calls per sweep) for every step of every model's sweep.
 SWEEP_STEPS = (
     [("aslrc", solver, f"update_{b}", 1) for b in "LZERJFQWS"]
@@ -553,6 +554,19 @@ def test_nan_in_any_step_raises_in_its_sweep(monkeypatch, model, module, step, p
 
     monkeypatch.setattr(module, step, poisoned)
     X, labels = synth_subspaces(SubspaceSpec(k=2, sub_dim=2, d=12, n_per=8, seed=1))
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError) as raised:
         MODELS[model](X, labels)
     assert len(calls) < 3 + per_sweep  # the step ran in no later sweep
+    assert raised.value.iteration == 2 // per_sweep  # the sweep of the 3rd call
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spd_factor_rejects_non_finite_without_retry(monkeypatch, bad):
+    """No jitter can repair a non-finite matrix, so no factorization is tried."""
+    real, calls = solver.cho_factor, []
+    monkeypatch.setattr(solver, "cho_factor", lambda *a, **k: calls.append(a) or real(*a, **k))
+    M = np.eye(3)
+    M[1, 2] = M[2, 1] = bad
+    with pytest.raises(NumericalError, match="non-finite") as raised:
+        solver._spd_factor(M)
+    assert calls == [] and raised.value.iteration is None

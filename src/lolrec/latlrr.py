@@ -4,8 +4,8 @@ Minimizes ||Z||_* + ||L||_* + lambda ||E||_1 subject to X = XZ + LX + E
 by inexact ALM with splitting variables J = Z and F = L.  It runs on the
 main solver's inexact-ALM loop (zero initialization, mu schedule, residual
 check, multiplier ascent) and shares its L solve: LatLRR's L subproblem is
-ASLRC's at beta = 0 (`solver._solve_L`, in the range of X), with one L @ X
-per sweep (`solver._salient`).  Comparisons thus isolate the model.
+ASLRC's at beta = 0 (`solver._solve_L`, in the range of X), which also
+returns L @ X for the sweep (`solver._salient`).  Comparisons thus isolate the model.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ from scipy.linalg import cho_solve
 
 from .blas import one_blas_thread
 from .prox import svt, thin_svd, weighted_shrink
-from .solver import (SolverConfig, _data_matrix, _decomposition, _penalized,
+from .solver import (SolverConfig, _add_div, _data_matrix, _decomposition, _penalized,
                      _run_alm, _salient, _solve_L, _spd_factor)
 
 
@@ -58,15 +58,16 @@ def latlrr_solve(X, lam=None, cfg=None, record_lagrangian=True, callback=None):
     basis = np.linalg.qr(X)
 
     def sweep(s):
-        # L mu (XX' + I) = P X' + G: ASLRC's L system without its beta term
-        s.L = _solve_L(basis, s.mu, s.Y1 + s.mu * (X - X @ s.Z - s.E), s.mu * s.F - s.Y3)
-        LX = _salient(s, X)
+        # L mu (XX' + I) = P X' + mu H: ASLRC's L system without its beta term
+        s.L, LX = _solve_L(basis, s.mu, s.Y1 + s.mu * (X - X @ s.Z - s.E),
+                           _add_div(s.F, s.Y3, -s.mu))
+        s._lx = (s.L, X, LX)
         # (X'X + I) Z = X'(X - LX - E) + J + (X'Y1 - Y2)/mu
         s.Z = cho_solve(zfac, X.T @ (X - LX - s.E) + s.J + (X.T @ s.Y1 - s.Y2) / s.mu,
                         check_finite=False)
         s.E = weighted_shrink(X - X @ s.Z - LX + s.Y1 / s.mu, np.full((d, N), lam / s.mu))
         s.J = svt(s.Z + s.Y2 / s.mu, 1.0 / s.mu)
-        s.F = svt(s.L + s.Y3 / s.mu, 1.0 / s.mu)
+        s.F = svt(_add_div(s.L, s.Y3, s.mu), 1.0 / s.mu)
 
     z = np.zeros
     state = SimpleNamespace(Z=z((N, N)), J=z((N, N)), L=z((d, d)), F=z((d, d)), E=z((d, N)),

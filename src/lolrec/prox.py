@@ -90,18 +90,39 @@ def svt(M, tau):
     return (f.U * s) @ f.V.T
 
 
+def _l21_scale(M, tau):
+    """Column factors of the L2,1 prox at float M: (||m_i|| - tau)/||m_i||
+    where ||m_i|| > tau, else 0.
+
+    The norms come from one sum of squares, with no M^2 temporary, and only
+    the d norms are checked: a non-finite entry makes its column's sum
+    non-finite, and such a column raises NumericalError.  A finite column
+    whose sum overflowed is divided by its largest |entry|, and tau with it.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->j", M, M))
+    taus = np.full(norms.shape, float(tau))
+    over = ~np.isfinite(norms)
+    if over.any():
+        cols = M[:, over]
+        _require_finite(cols, "column_l21_shrink")
+        peak = np.abs(cols).max(axis=0)
+        norms[over] = np.linalg.norm(cols / peak, axis=0)
+        taus[over] = tau / peak
+    scale = np.zeros_like(norms)
+    hit = norms > taus
+    scale[hit] = (norms[hit] - taus[hit]) / norms[hit]
+    return scale
+
+
 def column_l21_shrink(M, tau):
     """Column-wise group shrinkage: prox of tau * L2,1 norm at M.
 
     Column m_i maps to ((||m_i|| - tau)/||m_i||) m_i when ||m_i|| > tau,
-    else to zero.
+    else to zero.  A column whose sum of squares overflows is rescaled by
+    its largest |entry| first, so finite input gives a finite result; a
+    non-finite entry raises NumericalError at any tau.
     """
     if tau < 0:
         raise InvalidThreshold(f"negative threshold {tau}")
     M = np.asarray(M, dtype=float)
-    _require_finite(M, "column_l21_shrink")
-    norms = np.linalg.norm(M, axis=0)
-    scale = np.zeros_like(norms)
-    hit = norms > tau
-    scale[hit] = (norms[hit] - tau) / norms[hit]
-    return M * scale
+    return M * _l21_scale(M, tau)

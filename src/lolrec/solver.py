@@ -19,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .blas import one_blas_thread
 from .errors import DimensionError, NumericalError
-from .prox import _require_finite, column_l21_shrink, svt, thin_svd, weighted_shrink
+from .prox import _l21_scale, _require_finite, column_l21_shrink, svt, thin_svd, weighted_shrink
 
 
 @dataclass
@@ -124,49 +124,69 @@ def _spd_solve(M, B):
     return cho_solve(_spd_factor(0.5 * (M + M.T)), B, check_finite=False)
 
 
-def _solve_L(basis, mu, P, G, extra=0.0):
-    """The L step of both models: solve L M = P X' + G in the range of X.
+def _solve_L(basis, mu, P, H, extra=0.0):
+    """The L step of both models: solve L M = P X' + mu H in the range of X.
+    Returns (L, L @ X).
 
     M = mu (XX' + I) + Q extra Q', where (Q, B) = `basis` is the reduced QR
     of X (Q is d x r orthonormal, r = min(d, N)) and `extra` is an r x r
-    term the model adds (ASLRC: 2 beta CC'; LatLRR: none).  XX' maps into
-    range(X), so M = mu (I - QQ') + Q K Q' with K = mu (I + BB') + extra,
-    and an r x r solve with K (K >= mu I) replaces the d x d one:
-        L = G / mu + (W - GQ / mu) Q',    W = (P B' + GQ) K^-1,
-    which is W Q' when r = d.
+    term the model adds (ASLRC: 2 beta CC'; LatLRR: none).  H = F - Y3/mu is
+    the d x d part of the right-hand side, already divided by mu, so that it
+    enters L as it is.  XX' maps into range(X), so
+    M = mu (I - QQ') + Q K Q' with K = mu (I + BB') + extra, and an r x r
+    solve with K (K >= mu I) replaces the d x d one:
+        L = H + (W - HQ) Q',    W = (P B' + mu HQ) K^-1,
+    which is W Q' when r = d.  Since X = QB and Q'Q = I,
+        L X = HQB + (W - HQ) Q'QB = W B,
+    so L @ X costs a d x r by r x N product instead of a d x d by d x N one.
+    For d > N the step makes two d x d x r products: HQ and (W - HQ) Q'.
     """
     Q, B = basis
     K = mu * (np.eye(B.shape[0]) + B @ B.T) + extra
-    GQ = G @ Q
-    # W K = P B' + GQ with K symmetric, so solve K W' = (P B' + GQ)'.
-    W = _spd_solve(K, (P @ B.T + GQ).T).T
+    HQ = H @ Q
+    # W K = P B' + mu HQ with K symmetric, so solve K W' = (P B' + mu HQ)'.
+    W = _spd_solve(K, (P @ B.T + mu * HQ).T).T
     if Q.shape[1] == Q.shape[0]:
-        # Q is square, so I - QQ' = 0: G / mu - (GQ / mu) Q' would add only
-        # rounding, of size eps |G| / mu, to L's components that K scales up.
-        return W @ Q.T
-    return G / mu + (W - GQ / mu) @ Q.T
+        # Q is square, so I - QQ' = 0: H - HQQ' would add only rounding, of
+        # size eps |H|, to L's components that K scales up.
+        L = W @ Q.T
+    else:
+        L = (W - HQ) @ Q.T
+        L += H
+    return L, W @ B
+
+
+def _add_div(A, B, c):
+    """A + B / c as one new array: the quotient's buffer takes the sum."""
+    out = B / c
+    out += A
+    return out
 
 
 def update_L(state, X, cfg, basis=None):
     """Minimize the Lagrangian over the projection L: `_solve_L` with
-    P = Y1 + mu (X - XZ - E), G = mu F - Y3 and extra = 2 beta CC', C = B - BR,
-    since ASLRC's term 2 beta DD' (D = X - XR) is Q extra Q'.  `basis`, the
-    reduced QR X = QB, is built here when not passed.
+    P = Y1 + mu (X - XZ - E), H = F - Y3/mu and extra = 2 beta CC',
+    C = B - BR, since ASLRC's term 2 beta DD' (D = X - XR) is Q extra Q'.
+    `basis`, the reduced QR X = QB, is built here when not passed.  Returns
+    L; the L @ X that `_solve_L` also returns goes into the state's `_lx`.
     """
     basis = basis if basis is not None else np.linalg.qr(X)
     mu, B = state.mu, basis[1]
     C = B - B @ state.R
-    return _solve_L(basis, mu, state.Y1 + mu * (X - X @ state.Z - state.E),
-                    mu * state.F - state.Y3, 2.0 * cfg.beta * (C @ C.T))
+    L, LX = _solve_L(basis, mu, state.Y1 + mu * (X - X @ state.Z - state.E),
+                     _add_div(state.F, state.Y3, -mu), 2.0 * cfg.beta * (C @ C.T))
+    state._lx = (L, X, LX)
+    return L
 
 
 def _salient(state, X):
-    """L @ X for the state's current L, computed once per L and X.
+    """L @ X for the state's current L, computed at most once per L and X.
 
-    Each model's sweep computes it right after its L update and caches it in
-    the state's `_lx`; the later block updates, the residuals, the Lagrangian
+    Each model's L step gets it from `_solve_L` as W B and puts it in the
+    state's `_lx`; the later block updates, the residuals, the Lagrangian
     and `_decomposition` reuse it.  Every update returns a new array, so a
-    state whose L has been replaced (or a new X) gets a fresh product.
+    state whose L has been replaced by other means (or a new X) gets a
+    fresh product here.
     """
     cached = getattr(state, "_lx", None)
     if cached is None or cached[0] is not state.L or cached[1] is not X:
@@ -224,8 +244,10 @@ def update_J(state):
 
 
 def update_F(state):
-    """L2,1 prox: column shrink of L + Y3/mu at 1/mu."""
-    return column_l21_shrink(state.L + state.Y3 / state.mu, 1.0 / state.mu)
+    """L2,1 prox: column shrink of L + Y3/mu at 1/mu, scaling that fresh sum in place."""
+    M = _add_div(state.L, state.Y3, state.mu)
+    M *= _l21_scale(M, 1.0 / state.mu)
+    return M
 
 
 def update_S(state, cfg):
@@ -252,13 +274,25 @@ def _residual_blocks(state, X):
 
 
 def _max_abs(blocks):
-    """Max entrywise-infinity norm over residual blocks (0 for empty ones); NaN propagates."""
-    return float(np.max([np.max(np.abs(b)) if b.size else 0.0 for b in blocks.values()]))
+    """Max entrywise-infinity norm over residual blocks (0 for empty ones); NaN propagates.
+
+    max |b| is taken as max(b.max(), -b.min()), which writes no |b|; a NaN in
+    b makes both NaN.
+    """
+    return float(np.max([max(b.max(), -b.min()) if b.size else 0.0 for b in blocks.values()]))
 
 
 def _ascend(state, blocks, cfg):
+    """Multiplier ascent Y <- Y + mu r for each residual block r, then mu growth.
+
+    The new Y is written into r's buffer: the blocks are built for this one
+    ascent and nothing else holds them.  No Y array a caller may hold is
+    written.
+    """
     for name, r in blocks.items():
-        setattr(state, name, getattr(state, name) + state.mu * r)
+        r *= state.mu
+        r += getattr(state, name)
+        setattr(state, name, r)
     state.mu = min(cfg.eta * state.mu, cfg.mu_max)
     state.iter += 1
 
@@ -308,10 +342,9 @@ def primal_sweep(state, X, cfg, zfactor=None, basis=None):
 
     The sweep constants, when the caller already has them: `zfactor`, the
     Cholesky factor of 2I + X'X, and `basis`, the reduced QR (Q, B) of X
-    that `update_L` works in.  L @ X is computed once, right after the L update.
+    that `update_L` works in.  `update_L` leaves L @ X in the state's `_lx`.
     """
     state.L = update_L(state, X, cfg, basis)
-    _salient(state, X)
     state.Z = update_Z(state, X, zfactor)
     state.E = update_E(state, X, cfg)
     state.R = update_R(state, X, cfg)
@@ -328,9 +361,10 @@ def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None, callback=None)
 
     `sweep(state)` updates the primal blocks at fixed multipliers and mu;
     `residual_blocks(state)` maps each multiplier name to its constraint
-    residual.  The blocks are built once per sweep and feed the convergence
-    check, `lagrangian(state, blocks)`, the trace, `callback(state,
-    residual)` and the multiplier ascent.  Returns (trace, converged).
+    residual, a new array that no one else holds: the multiplier ascent
+    takes its buffer over.  The blocks are built once per sweep and feed the
+    convergence check, `lagrangian(state, blocks)`, the trace,
+    `callback(state, residual)` and the ascent.  Returns (trace, converged).
     Every primal block enters a residual block, so a non-finite residual is
     the one check of the state: that sweep raises NumericalError.  A
     NumericalError raised inside a sweep carries that sweep's iteration.

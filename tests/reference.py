@@ -22,13 +22,15 @@ def cholesky_update_L(state, X, cfg, basis=None):
 
 def cholesky_latlrr_L(X, calls):
     """Reference LatLRR L step, as before the range basis: one d x d Cholesky
-    factor of I + XX' and d right-hand sides, L (XX' + I) = (P X' + G) / mu.
-    It stands in for `_solve_L` in `latlrr`; each call appends to `calls`."""
+    factor of I + XX' and d right-hand sides, L (XX' + I) = P X' / mu + H,
+    and L @ X as a d x d by d x N product.  It stands in for `_solve_L` in
+    `latlrr`; each call appends to `calls`."""
     lfac = cho_factor(np.eye(X.shape[0]) + X @ X.T)
 
-    def step(basis, mu, P, G):
+    def step(basis, mu, P, H):
         calls.append(mu)
-        return cho_solve(lfac, ((P @ X.T + G) / mu).T).T
+        L = cho_solve(lfac, (P @ X.T / mu + H).T).T
+        return L, L @ X
     return step
 
 

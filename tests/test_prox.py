@@ -135,6 +135,24 @@ class TestColumnL21Shrink:
             lhs = np.linalg.norm(column_l21_shrink(A, 0.4) - column_l21_shrink(B, 0.4), "fro")
             assert lhs <= np.linalg.norm(A - B, "fro") + 1e-12
 
+    @pytest.mark.parametrize("M,tau,expected", [
+        # the first column's sum of squares overflows; its norm, 2.24e200, does not
+        ([[1e200, 1.0], [2e200, 0.5]], 1.0,
+         [[1e200, 1.0 - 1.0 / np.sqrt(1.25)], [2e200, 0.5 - 0.5 / np.sqrt(1.25)]]),
+        ([[1e200], [2e200]], 1e200,
+         [[1e200 - 1e200 / np.sqrt(5.0)], [2e200 - 2e200 / np.sqrt(5.0)]]),
+    ], ids=["two-columns", "one-column"])
+    def test_overflowing_sum_of_squares(self, M, tau, expected):
+        out = column_l21_shrink(np.array(M), tau)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 1e300, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_at_any_tau(self, bad, tau):
+        with pytest.raises(NumericalError):
+            column_l21_shrink(np.array([[1.0, 2.0], [bad, 0.5]]), tau)
+
 
 class TestThinSvd:
     def test_identity(self):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ class TestInitState:
         assert res == 1.0
 
 
+# The shapes, models and mu values on which both models' L step is checked.
+L_MUS = [1e-6, 1.0, 1e4]
+L_CASES = [
+    pytest.param(shape, model, id=shape if model == "aslrc" else f"{model}-{shape}")
+    for model in ("aslrc", "latlrr") for shape in (
+        "tall", "square", "wide", "tall-repeated-columns", "wide-repeated-columns",
+        "no-rows", "no-samples")
+]
+
+
 class TestUpdateL:
     def test_zero_state_reduction(self, rng):
         X = rng.standard_normal((4, 6))
@@ -81,14 +92,9 @@ class TestUpdateL:
             g = fd_gradient(lagrangian_as_function_of("L", s, X, CFG), s.L)
             assert np.linalg.norm(g) < 1e-8 * (1 + np.linalg.norm(s.L)), (d, N)
 
-    @pytest.mark.parametrize("mu", [1e-6, 1.0, 1e4])
-    @pytest.mark.parametrize("shape,model", [
-        pytest.param(shape, model, id=shape if model == "aslrc" else f"{model}-{shape}")
-        for model in ("aslrc", "latlrr") for shape in (
-            "tall", "square", "wide", "tall-repeated-columns", "wide-repeated-columns",
-            "no-rows", "no-samples")
-    ])
-    def test_matches_dense_solve(self, rng, shape, model, mu):
+    @staticmethod
+    def solve_case(rng, shape, model, mu):
+        """(state, X, cfg, L, L @ X from the solve) for one model's L step."""
         X = {
             "tall": lambda: rng.standard_normal((40, 8)),
             "square": lambda: rng.standard_normal((8, 8)),
@@ -98,15 +104,21 @@ class TestUpdateL:
             "no-rows": lambda: np.zeros((0, 5)),
             "no-samples": lambda: np.zeros((5, 0)),
         }[shape]()
-        d, N = X.shape
-        s = random_state(rng, d, N, mu=mu)
+        s = random_state(rng, *X.shape, mu=mu)
         if model == "aslrc":
-            cfg, L = CFG, update_L(s, X, CFG)
-        else:
-            # LatLRR's L system is ASLRC's at beta = 0: no extra K term.
-            cfg = dataclasses.replace(CFG, beta=0.0)
-            L = solver._solve_L(np.linalg.qr(X), mu, s.Y1 + mu * (X - X @ s.Z - s.E),
-                                mu * s.F - s.Y3)
+            L = update_L(s, X, CFG)
+            assert s._lx[0] is L and s._lx[1] is X
+            return s, X, CFG, L, s._lx[2]
+        # LatLRR's L system is ASLRC's at beta = 0: no extra K term.
+        L, LX = solver._solve_L(np.linalg.qr(X), mu, s.Y1 + mu * (X - X @ s.Z - s.E),
+                                s.F - s.Y3 / mu)
+        return s, X, dataclasses.replace(CFG, beta=0.0), L, LX
+
+    @pytest.mark.parametrize("mu", L_MUS)
+    @pytest.mark.parametrize("shape,model", L_CASES)
+    def test_matches_dense_solve(self, rng, shape, model, mu):
+        s, X, cfg, L, _ = self.solve_case(rng, shape, model, mu)
+        d = X.shape[0]
         assert L.shape == (d, d)
         M, rhs = l_system(s, X, cfg)
         if d == 0:
@@ -116,6 +128,15 @@ class TestUpdateL:
         assert backward <= 1e-13
         reference = np.linalg.solve(M, rhs.T).T
         assert norm(L - reference) <= 1e-13 * np.linalg.cond(M) * norm(reference)
+
+    @pytest.mark.parametrize("mu", L_MUS)
+    @pytest.mark.parametrize("shape,model", L_CASES)
+    def test_solve_returns_LX(self, rng, shape, model, mu):
+        """L @ X from the solve (W B) is the product of the L it returns."""
+        _, X, _, L, LX = self.solve_case(rng, shape, model, mu)
+        assert LX.shape == X.shape
+        norm = np.linalg.norm
+        assert norm(LX - L @ X) <= 1e-13 * norm(L) * norm(X)
 
 
 class TestUpdateZ:
@@ -481,7 +502,8 @@ class TestRangeBasis:
 
     @pytest.mark.parametrize("method", sorted(SOLVERS))
     def test_one_LX_product_per_sweep(self, monkeypatch, rng, method):
-        """The block updates, the residuals and the output share one L @ X per sweep."""
+        """L @ X comes from the L solve as W B: no sweep and no output multiplies
+        a d x d block by X, and the output's L @ X is L_star @ X."""
         products = []
 
         class CountingX(np.ndarray):
@@ -496,7 +518,9 @@ class TestRangeBasis:
         monkeypatch.setattr(modules[-1], "_data_matrix", lambda X: X)
         X = rng.standard_normal((12, 5)).view(CountingX)
         dec = run(X, SolverConfig(max_iter=3))
-        assert dec.iterations == 3 and len(products) == 3
+        assert dec.iterations == 3 and products == []
+        salient = dec.L_star @ X.view(np.ndarray)
+        assert np.linalg.norm(dec.salient - salient) <= 1e-12 * np.linalg.norm(salient)
 
 
 class TestSvtSkip:
@@ -548,8 +572,9 @@ def test_nan_in_any_step_raises_in_its_sweep(monkeypatch, model, module, step, p
         out = real(*args, **kwargs)
         calls.append(step)
         if len(calls) == 3:
-            out = out.copy()
-            out[0, -1] = np.nan
+            # `_solve_L` returns (L, L @ X): its L is poisoned.
+            out = copy.deepcopy(out)
+            (out[0] if isinstance(out, tuple) else out)[0, -1] = np.nan
         return out
 
     monkeypatch.setattr(module, step, poisoned)
@@ -570,3 +595,50 @@ def test_spd_factor_rejects_non_finite_without_retry(monkeypatch, bad):
     with pytest.raises(NumericalError, match="non-finite") as raised:
         solver._spd_factor(M)
     assert calls == [] and raised.value.iteration is None
+
+
+def test_sweep_temporaries_stay_below_a_bound():
+    """A sweep, its residual blocks and the ascent hold at most 3.2 d x d
+    arrays of new memory at once (d >> N: L, F, the Y3 residual, and d x N
+    work)."""
+    d, N = 300, 10
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((d, 4)) @ rng.standard_normal((4, N))
+    state = init_state(X, CFG)
+    zfactor = solver._spd_factor(2.0 * np.eye(N) + X.T @ X)
+    basis = np.linalg.qr(X)
+
+    def step():
+        primal_sweep(state, X, CFG, zfactor, basis)
+        solver._ascend(state, solver._residual_blocks(state, X), CFG)
+
+    step(); step()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (d * d * 8) <= 3.2
+
+
+@pytest.mark.parametrize("method", ["aslrc", "latlrr"])
+def test_ascent_mutates_no_array_a_caller_holds(method):
+    """Blocks a callback keeps from sweep k are unchanged after sweep k + 1."""
+    names = {"aslrc": ("Y1", "Y2", "Y3", "Y4", "Y5", "Y6", "L", "F"),
+             "latlrr": ("Y1", "Y2", "Y3", "L", "F")}[method]
+    kept = []
+
+    def callback(state, residual):
+        kept.append({n: (getattr(state, n), getattr(state, n).copy()) for n in names})
+
+    X, _ = synth_subspaces(SubspaceSpec(k=2, sub_dim=2, d=12, n_per=8, seed=1))
+    run = {"aslrc": lambda: solve(X, CFG, record_lagrangian=False, callback=callback),
+           "latlrr": lambda: latlrr_solve(X, cfg=CFG, record_lagrangian=False,
+                                          callback=callback)}[method]
+    dec = run()
+    assert len(kept) == dec.iterations > 2
+    for sweep in kept:
+        for name, (held, copy_) in sweep.items():
+            assert np.array_equal(held, copy_), name

@@ -46,6 +46,7 @@ class ClassifierModel:
     ridge_delta: float
     converged: bool
     residual: float
+    iterations: int           # ALM sweeps run: max_iter when not converged
 
 
 @one_blas_thread()
@@ -85,7 +86,8 @@ def train_classifier(features, H, cfg=None, L_star=None):
     trace, converged = _run_alm(state, cfg, sweep, lambda s: {"Y": Ht - F.T @ s.C - s.Ec})
     return ClassifierModel(C_star=state.C, L_star=np.asarray(L_star, dtype=float),
                            training_error=state.Ec, ridge_delta=float(delta),
-                           converged=converged, residual=trace[-1].residual)
+                           converged=converged, residual=trace[-1].residual,
+                           iterations=state.iter)
 
 
 def predict_labels(model, X_test):

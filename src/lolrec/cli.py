@@ -3,9 +3,9 @@
 Subcommands: decompose | denoise | classify | bench-synth | grid.
 Configuration comes from a flat-key JSON file (--config); command-line
 flags override file values.  Every run writes a manifest with the config
-hash, toolkit version, thread settings, and wall-clock per phase.
-`denoise` and `classify` print one stderr warning per solve that stopped
-at max_iter unconverged.
+hash, toolkit version, thread settings, wall-clock per phase, and one
+record per solve.  Every subcommand prints one stderr warning per solve
+that stopped at max_iter unconverged, and counts them in its summary.
 
 Threads: a subcommand runs BLAS on one thread, so its artifacts match a
 run with OPENBLAS_NUM_THREADS=1 byte for byte; setting OPENBLAS_NUM_THREADS,
@@ -40,10 +40,7 @@ from .synth import (SubspaceSpec, add_gaussian_noise_snr, classification_accurac
 
 CANDIDATE_GRID = [10.0 ** p for p in range(-8, 9, 2)]
 
-_SOLVERS = {
-    "aslrc": lambda X, cfg: solve(X, cfg, record_lagrangian=False),
-    "latlrr": lambda X, cfg: latlrr_solve(X, cfg.lam, cfg, record_lagrangian=False),
-}
+METHODS = ("aslrc", "latlrr")
 
 DEFAULTS = {
     "alpha": 0.01, "beta": 0.01, "lambda": 0.015,
@@ -74,12 +71,22 @@ def _run_indexed(jobs):
         return list(pool.map(lambda j: j(), jobs))
 
 
-def _warn_unconverged(notes):
-    """Print one stderr line per (what, iterations, final residual); returns the count."""
-    for what, iterations, residual in notes:
-        print(f"warning: {what} did not converge in {iterations} iterations "
-              f"(final residual {residual:.3g})", file=sys.stderr)
-    return len(notes)
+def _record(method, label, t0, result, residual):
+    """Manifest record of a solve begun at perf_counter() `t0` that gave `result`."""
+    return {"method": method, "label": label, "iterations": int(result.iterations),
+            "converged": bool(result.converged), "final_residual": float(residual),
+            "wall_s": time.perf_counter() - t0}
+
+
+def _solve(method, X, scfg, label, record_lagrangian=False):
+    """Run one coding solve; returns (Decomposition, record).  `label` tells the
+    subcommand's solves apart ("at level 10"); a lone solve's label is ""."""
+    t0 = time.perf_counter()
+    if method == "aslrc":
+        dec = solve(X, scfg, record_lagrangian=record_lagrangian)
+    else:
+        dec = latlrr_solve(X, scfg.lam, scfg, record_lagrangian=record_lagrangian)
+    return dec, _record(method, label, t0, dec, dec.trace[-1].residual)
 
 
 def _solver_config(cfg):
@@ -93,7 +100,7 @@ def _solver_config(cfg):
 def _methods(cfg):
     methods = cfg["methods"] or [cfg["method"]]
     for m in methods:
-        if m not in _SOLVERS:
+        if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     return methods
 
@@ -137,8 +144,7 @@ def cmd_decompose(cfg, out):
         raise ValueError("multiple inputs must all be PGM images")
 
     scfg = _solver_config(cfg)
-    method = _methods(cfg)[0]
-    dec = _SOLVERS[method](X, scfg)
+    dec, record = _solve(_methods(cfg)[0], X, scfg, "")
 
     save_matrix_csv(dec.Z_star, out / "Z.csv")
     save_matrix_csv(dec.L_star, out / "L.csv")
@@ -153,7 +159,7 @@ def cmd_decompose(cfg, out):
             for part in (X[:, j], dec.principal[:, j], dec.salient[:, j], dec.E_star[:, j]):
                 panels.append(matrix_to_image(part, h, w))
         save_pgm(tile_images(panels, cols=4), out / "panel.pgm")
-    return {"converged": dec.converged, "iterations": dec.iterations}
+    return {"converged": dec.converged, "iterations": dec.iterations}, [record]
 
 
 def _corrupt(X, protocol, level, seed):
@@ -180,24 +186,21 @@ def cmd_denoise(cfg, out):
     def job(idx, level):
         def run():
             X_noisy = _corrupt(X_clean, protocol, level, seed=int(cfg["seed"]) + idx)
-            rows, notes = [], []
+            rows, records = [], []
             for m in methods:
-                dec = _SOLVERS[m](X_noisy, scfg)
+                dec, record = _solve(m, X_noisy, scfg, f"at level {level:g}")
                 zeta_rec = reconstruction_accuracy(X_clean, X_noisy @ dec.Z_star)
                 zeta_emb = reconstruction_accuracy(X_clean, dec.L_star @ X_clean)
                 rows.append((idx, float(level), m, float(zeta_rec), float(zeta_emb)))
-                if not dec.converged:
-                    notes.append((f"denoise: {m} at level {level:g}", dec.iterations,
-                                  dec.trace[-1].residual))
-            return rows, notes
+                records.append(record)
+            return rows, records
         return run
 
     results = _run_indexed([job(i, lv) for i, lv in enumerate(levels)])
     rows = [r for batch, _ in results for r in batch]
     _write_csv(out / "denoise.csv",
                ["sweep_index", "level", "method", "zeta_rec", "zeta_emb"], rows)
-    unconverged = _warn_unconverged([n for _, notes in results for n in notes])
-    return {"points": len(rows), "unconverged": unconverged}
+    return {"points": len(rows)}, [r for _, records in results for r in records]
 
 
 def cmd_classify(cfg, out):
@@ -225,18 +228,14 @@ def cmd_classify(cfg, out):
                 te_idx.extend(idx[int(cfg["train_count"]): per_class])
             Xtr, ytr = X[:, tr_idx], labels[tr_idx]
             Xte, yte = X[:, te_idx], labels[te_idx]
-            dec = _SOLVERS[method](Xtr, scfg)
+            label = f"on split {split}"
+            dec, record = _solve(method, Xtr, scfg, label)
+            t0 = time.perf_counter()
             model = train_classifier(dec.L_star @ Xtr, one_hot(ytr, k), scfg,
                                      L_star=dec.L_star)
+            fit = _record("classifier", label, t0, model, model.residual)
             pred, _ = predict_labels(model, Xte)
-            notes = []
-            if not dec.converged:
-                notes.append((f"classify: {method} on split {split}", dec.iterations,
-                              dec.trace[-1].residual))
-            if not model.converged:
-                notes.append((f"classify: classifier on split {split}", scfg.max_iter,
-                              model.residual))
-            return classification_accuracy(pred, yte), notes
+            return classification_accuracy(pred, yte), [record, fit]
         return run
 
     results = _run_indexed([job(s) for s in range(int(cfg["splits"]))])
@@ -245,21 +244,21 @@ def cmd_classify(cfg, out):
     _write_csv(out / "accuracy.csv", ["split", "accuracy"], rows)
     _write_csv(out / "summary.csv", ["mean_accuracy", "std_accuracy"],
                [(float(np.mean(accs)), float(np.std(accs)))])
-    unconverged = _warn_unconverged([n for _, notes in results for n in notes])
-    return {"mean_accuracy": float(np.mean(accs)), "unconverged": unconverged}
+    return ({"mean_accuracy": float(np.mean(accs))},
+            [r for _, records in results for r in records])
 
 
 def cmd_bench_synth(cfg, out):
     X, labels = synth_subspaces(_subspace_spec(cfg))
     scfg = _solver_config(cfg)
     method = _methods(cfg)[0]
-    dec = solve(X, scfg) if method == "aslrc" else latlrr_solve(X, scfg.lam, scfg)
+    dec, record = _solve(method, X, scfg, "", record_lagrangian=True)
     _write_trace(out / "trace.csv", dec.trace)
     _write_csv(out / "bench.csv",
                ["method", "iterations", "converged", "final_residual", "offblock_ratio"],
                [(method, dec.iterations, int(dec.converged),
                  float(dec.trace[-1].residual), float(offblock_ratio(dec.Z_star, labels)))])
-    return {"iterations": dec.iterations, "converged": dec.converged}
+    return {"iterations": dec.iterations, "converged": dec.converged}, [record]
 
 
 def cmd_grid(cfg, out):
@@ -272,17 +271,17 @@ def cmd_grid(cfg, out):
     def job(idx, a, b):
         def run():
             scfg = _solver_config({**cfg, "alpha": a, "beta": b})
-            dec = solve(X, scfg, record_lagrangian=False)
+            dec, record = _solve("aslrc", X, scfg, f"at alpha {a:g}, beta {b:g}")
             zeta = reconstruction_accuracy(X_clean, X @ dec.Z_star)
             return (idx, float(a), float(b), float(zeta),
-                    float(offblock_ratio(dec.Z_star, labels)), dec.iterations)
+                    float(offblock_ratio(dec.Z_star, labels)), dec.iterations), record
         return run
 
-    rows = _run_indexed([job(i, a, b) for i, (a, b) in enumerate(points)])
+    results = _run_indexed([job(i, a, b) for i, (a, b) in enumerate(points)])
     _write_csv(out / "grid.csv",
                ["sweep_index", "alpha", "beta", "zeta_acc", "offblock_ratio", "iterations"],
-               rows)
-    return {"points": len(rows)}
+               [row for row, _ in results])
+    return {"points": len(results)}, [record for _, record in results]
 
 
 _COMMANDS = {
@@ -302,7 +301,7 @@ def build_parser():
     parser.add_argument("--out", type=str)
     parser.add_argument("--input", type=str, action="append")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--method", choices=sorted(_SOLVERS))
+    parser.add_argument("--method", choices=METHODS)
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--beta", type=float)
     parser.add_argument("--lambda", dest="lam", type=float)
@@ -355,8 +354,15 @@ def main(argv=None):
         phases = {}
         t0 = time.time()
         with blas.one_blas_thread():
-            summary = _COMMANDS[args.subcommand](cfg, out)
+            summary, solves = _COMMANDS[args.subcommand](cfg, out)
         phases[args.subcommand] = time.time() - t0
+        for r in solves:
+            if not r["converged"]:
+                what = f"{r['method']} {r['label']}".rstrip()
+                print(f"warning: {args.subcommand}: {what} did not converge in "
+                      f"{r['iterations']} iterations (final residual {r['final_residual']:.3g})",
+                      file=sys.stderr)
+        summary["unconverged"] = sum(not r["converged"] for r in solves)
         manifest = {
             "subcommand": args.subcommand,
             "config": {k: cfg[k] for k in sorted(cfg)},
@@ -365,6 +371,7 @@ def main(argv=None):
             "threads": _threads_record(),
             "wall_clock_seconds": phases,
             "summary": summary,
+            "solves": solves,
         }
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, default=str)

@@ -97,17 +97,20 @@ def _l21_scale(M, tau):
     The norms come from one sum of squares, with no M^2 temporary, and only
     the d norms are checked: a non-finite entry makes its column's sum
     non-finite, and such a column raises NumericalError.  A finite column
-    whose sum overflowed is divided by its largest |entry|, and tau with it.
+    whose sum overflowed, or whose norm is below 1e-150 where its squares
+    may underflow, is divided by its largest |entry|, and tau with it; an
+    all-zero column keeps norm 0.
     """
     norms = np.sqrt(np.einsum("ij,ij->j", M, M))
     taus = np.full(norms.shape, float(tau))
-    over = ~np.isfinite(norms)
-    if over.any():
-        cols = M[:, over]
+    redo = np.flatnonzero(~np.isfinite(norms) | (norms < 1e-150))
+    if redo.size:
+        cols = M[:, redo]
         _require_finite(cols, "column_l21_shrink")
         peak = np.abs(cols).max(axis=0)
-        norms[over] = np.linalg.norm(cols / peak, axis=0)
-        taus[over] = tau / peak
+        live = peak > 0
+        norms[redo[live]] = np.linalg.norm(cols[:, live] / peak[live], axis=0)
+        taus[redo[live]] = tau / peak[live]
     scale = np.zeros_like(norms)
     hit = norms > taus
     scale[hit] = (norms[hit] - taus[hit]) / norms[hit]
@@ -118,9 +121,10 @@ def column_l21_shrink(M, tau):
     """Column-wise group shrinkage: prox of tau * L2,1 norm at M.
 
     Column m_i maps to ((||m_i|| - tau)/||m_i||) m_i when ||m_i|| > tau,
-    else to zero.  A column whose sum of squares overflows is rescaled by
-    its largest |entry| first, so finite input gives a finite result; a
-    non-finite entry raises NumericalError at any tau.
+    else to zero.  A column whose sum of squares overflows or underflows is
+    rescaled by its largest |entry| first, so finite input gives a finite
+    result and a tiny column is not lost; a non-finite entry raises
+    NumericalError at any tau.
     """
     if tau < 0:
         raise InvalidThreshold(f"negative threshold {tau}")

@@ -200,3 +200,79 @@ class TestHarness:
         assert {"scipy", "openblas"} <= set(threads)
         for lib in threads["openblas"]:
             assert set(lib) == {"library", "version"}
+
+
+SMALL = {"subspaces": 2, "sub_dim": 2, "ambient": 12, "n_per": 8, "tol": 1e-4, "seed": 3}
+# subcommand -> (config, the (method, label) of each solve in job order)
+SOLVE_CASES = {
+    "decompose": ({**SMALL, "input": "x.csv"}, [("aslrc", "")]),
+    "denoise": ({**SMALL, "methods": ["aslrc", "latlrr"], "pct_list": [10, 30]},
+                [("aslrc", "at level 10"), ("latlrr", "at level 10"),
+                 ("aslrc", "at level 30"), ("latlrr", "at level 30")]),
+    "classify": ({"splits": 2, "dim": 6, "train_count": 5, "test_count": 5, "tol": 1e-4,
+                  "seed": 5},
+                 [("aslrc", "on split 0"), ("classifier", "on split 0"),
+                  ("aslrc", "on split 1"), ("classifier", "on split 1")]),
+    "bench-synth": (SMALL, [("aslrc", "")]),
+    "grid": ({**SMALL, "grid_values": [0.01, 1.0]},
+             [("aslrc", "at alpha 0.01, beta 0.01"), ("aslrc", "at alpha 0.01, beta 1"),
+              ("aslrc", "at alpha 1, beta 0.01"), ("aslrc", "at alpha 1, beta 1")]),
+}
+
+
+def run_case(tmp_path, subcommand, max_iter, name="out"):
+    """Run one SOLVE_CASES subcommand; returns its manifest."""
+    cfg = {**SOLVE_CASES[subcommand][0], "max_iter": max_iter}
+    if "input" in cfg:
+        rng = np.random.default_rng(0)
+        cfg["input"] = str(tmp_path / cfg["input"])
+        save_matrix_csv(rng.standard_normal((8, 3)) @ rng.standard_normal((3, 10)),
+                        cfg["input"])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    assert run([subcommand, "--config", path, "--out", out]) == 0
+    return json.loads((out / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("subcommand", sorted(SOLVE_CASES))
+class TestSolveRecords:
+    def test_each_unconverged_solve_warns_and_counts(self, tmp_path, capsys, subcommand):
+        manifest = run_case(tmp_path, subcommand, max_iter=3)
+        solves = manifest["solves"]
+        assert [(r["method"], r["label"]) for r in solves] == SOLVE_CASES[subcommand][1]
+        for r in solves:
+            assert set(r) == {"method", "label", "iterations", "converged",
+                              "final_residual", "wall_s"}
+            assert (r["iterations"], r["converged"]) == (3, False)
+            assert r["final_residual"] > 0 and r["wall_s"] >= 0
+        warnings = capsys.readouterr().err.strip().split("\n")
+        assert len(warnings) == len(solves)
+        for w, r in zip(warnings, solves):
+            what = f"{r['method']} {r['label']}".rstrip()
+            assert w == (f"warning: {subcommand}: {what} did not converge in 3 iterations "
+                         f"(final residual {r['final_residual']:.3g})")
+        assert manifest["summary"]["unconverged"] == len(solves)
+
+    def test_converged_run_is_quiet(self, tmp_path, capsys, subcommand):
+        manifest = run_case(tmp_path, subcommand, max_iter=300)
+        assert capsys.readouterr().err == ""
+        assert manifest["summary"]["unconverged"] == 0
+        assert len(manifest["solves"]) == len(SOLVE_CASES[subcommand][1])
+        assert all(r["converged"] for r in manifest["solves"])
+
+
+def test_lone_solve_warning_names_no_label(tmp_path, capsys):
+    run_case(tmp_path, "decompose", max_iter=3)
+    assert capsys.readouterr().err.startswith(
+        "warning: decompose: aslrc did not converge in 3 iterations (final residual ")
+
+
+@pytest.mark.parametrize("subcommand", ["denoise", "grid"])
+def test_solve_records_independent_of_sweep_threads(tmp_path, monkeypatch, subcommand):
+    records = []
+    for n in ("1", "2"):
+        monkeypatch.setenv("LOLREC_THREADS", n)
+        solves = run_case(tmp_path, subcommand, max_iter=120, name=f"out{n}")["solves"]
+        records.append([{k: v for k, v in r.items() if k != "wall_s"} for r in solves])
+    assert records[0] == records[1]

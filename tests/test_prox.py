@@ -147,6 +147,26 @@ class TestColumnL21Shrink:
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, expected, rtol=1e-14)
 
+    def test_underflowing_sum_of_squares_at_zero_tau(self):
+        # squares of 1e-200 underflow to 0; the prox at tau = 0 is the identity
+        M = np.array([[1e-200], [2e-200]])
+        np.testing.assert_array_equal(column_l21_shrink(M, 0.0), M)
+
+    @pytest.mark.parametrize("tau,expected", [
+        (0.0, [[1e-200, 3.0, 0.0], [2e-200, 4.0, 0.0]]),
+        # below the tiny column's norm, sqrt(5) 1e-200
+        (1e-200, [[1e-200 - 1e-200 / np.sqrt(5.0), 3.0, 0.0],
+                  [2e-200 - 2e-200 / np.sqrt(5.0), 4.0, 0.0]]),
+        # between the tiny column's norm and the normal column's, 5
+        (1.0, [[0.0, 2.4, 0.0], [0.0, 3.2, 0.0]]),
+    ], ids=["zero", "below-tiny-norm", "between-norms"])
+    def test_underflowing_normal_and_zero_columns(self, tau, expected):
+        M = np.array([[1e-200, 3.0, 0.0], [2e-200, 4.0, 0.0]])
+        with np.errstate(all="raise"):
+            out = column_l21_shrink(M, tau)
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0.0)
+        assert np.all(out[:, 2] == 0.0)
+
     @pytest.mark.parametrize("tau", [0.0, 1.0, 1e300, np.inf])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises_at_any_tau(self, bad, tau):

@@ -74,12 +74,13 @@ def train_classifier(features, H, cfg=None, L_star=None):
         L_star = np.eye(d)
 
     Ht = H.T  # N x c
-    delta = 1e-8 * np.trace(F @ F.T) / d
-    gfac = _spd_factor(F @ F.T + delta * np.eye(d))
+    G = F @ F.T
+    delta = 1e-8 * np.trace(G) / d
+    gfac = _spd_factor(G + delta * np.eye(d))
 
     def sweep(s):
         s.C = cho_solve(gfac, F @ (Ht - s.Ec + s.Y / s.mu), check_finite=False)
-        s.Ec = weighted_shrink(Ht - F.T @ s.C + s.Y / s.mu, np.full((N, c), 1.0 / s.mu))
+        s.Ec = weighted_shrink(Ht - F.T @ s.C + s.Y / s.mu, 1.0 / s.mu)
 
     state = SimpleNamespace(C=np.zeros((d, c)), Ec=np.zeros((N, c)), Y=np.zeros((N, c)),
                             mu=cfg.mu0, iter=0)

@@ -3,9 +3,10 @@
 Subcommands: decompose | denoise | classify | bench-synth | grid.
 Configuration comes from a flat-key JSON file (--config); command-line
 flags override file values.  Every run writes a manifest with the config
-hash, toolkit version, thread settings, wall-clock per phase, and one
-record per solve.  Every subcommand prints one stderr warning per solve
-that stopped at max_iter unconverged, and counts them in its summary.
+hash, toolkit version, thread settings, the subcommand's wall-clock time,
+and one record per solve.  Every subcommand prints one stderr warning per
+solve that stopped at max_iter unconverged, and counts them in its summary.
+`grid` sweeps ASLRC's alpha and beta, so it takes no other method.
 
 Threads: a subcommand runs BLAS on one thread, so its artifacts match a
 run with OPENBLAS_NUM_THREADS=1 byte for byte; setting OPENBLAS_NUM_THREADS,
@@ -62,13 +63,14 @@ def _threads():
         return 1
 
 
-def _run_indexed(jobs):
-    """Run callables, possibly in parallel; results come back in job order."""
+def _run_indexed(fn, jobs):
+    """`fn(*job)` for each argument tuple in `jobs`, possibly in parallel;
+    results come back in job order."""
     n = _threads()
     if n == 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
+        return [fn(*job) for job in jobs]
     with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(lambda j: j(), jobs))
+        return list(pool.map(fn, *zip(*jobs)))
 
 
 def _record(method, label, t0, result, residual):
@@ -183,20 +185,18 @@ def cmd_denoise(cfg, out):
     protocol = cfg["protocol"]
     levels = cfg["snr_list"] if protocol == "gaussian" else cfg["pct_list"]
 
-    def job(idx, level):
-        def run():
-            X_noisy = _corrupt(X_clean, protocol, level, seed=int(cfg["seed"]) + idx)
-            rows, records = [], []
-            for m in methods:
-                dec, record = _solve(m, X_noisy, scfg, f"at level {level:g}")
-                zeta_rec = reconstruction_accuracy(X_clean, X_noisy @ dec.Z_star)
-                zeta_emb = reconstruction_accuracy(X_clean, dec.L_star @ X_clean)
-                rows.append((idx, float(level), m, float(zeta_rec), float(zeta_emb)))
-                records.append(record)
-            return rows, records
-        return run
+    def run(idx, level):
+        X_noisy = _corrupt(X_clean, protocol, level, seed=int(cfg["seed"]) + idx)
+        rows, records = [], []
+        for m in methods:
+            dec, record = _solve(m, X_noisy, scfg, f"at level {level:g}")
+            zeta_rec = reconstruction_accuracy(X_clean, X_noisy @ dec.Z_star)
+            zeta_emb = reconstruction_accuracy(X_clean, dec.L_star @ X_clean)
+            rows.append((idx, float(level), m, float(zeta_rec), float(zeta_emb)))
+            records.append(record)
+        return rows, records
 
-    results = _run_indexed([job(i, lv) for i, lv in enumerate(levels)])
+    results = _run_indexed(run, list(enumerate(levels)))
     rows = [r for batch, _ in results for r in batch]
     _write_csv(out / "denoise.csv",
                ["sweep_index", "level", "method", "zeta_rec", "zeta_emb"], rows)
@@ -210,35 +210,32 @@ def cmd_classify(cfg, out):
     scfg = _solver_config(cfg)
     method = _methods(cfg)[0]
 
-    def job(split):
-        def run():
-            sub = seed + split
-            if cfg["data"] == "blobs":
-                X, labels = synth_blobs(k=k, d=int(cfg["dim"]), n_per=per_class,
-                                        sep=cfg["blob_sep"], seed=sub)
-            else:
-                spec = _subspace_spec(cfg)
-                spec.k, spec.n_per, spec.seed = k, per_class, sub
-                X, labels = synth_subspaces(spec)
-            rng = np.random.default_rng(sub)
-            tr_idx, te_idx = [], []
-            for c in range(k):
-                idx = rng.permutation(np.flatnonzero(labels == c))
-                tr_idx.extend(idx[: int(cfg["train_count"])])
-                te_idx.extend(idx[int(cfg["train_count"]): per_class])
-            Xtr, ytr = X[:, tr_idx], labels[tr_idx]
-            Xte, yte = X[:, te_idx], labels[te_idx]
-            label = f"on split {split}"
-            dec, record = _solve(method, Xtr, scfg, label)
-            t0 = time.perf_counter()
-            model = train_classifier(dec.L_star @ Xtr, one_hot(ytr, k), scfg,
-                                     L_star=dec.L_star)
-            fit = _record("classifier", label, t0, model, model.residual)
-            pred, _ = predict_labels(model, Xte)
-            return classification_accuracy(pred, yte), [record, fit]
-        return run
+    def run(split):
+        sub = seed + split
+        if cfg["data"] == "blobs":
+            X, labels = synth_blobs(k=k, d=int(cfg["dim"]), n_per=per_class,
+                                    sep=cfg["blob_sep"], seed=sub)
+        else:
+            spec = _subspace_spec(cfg)
+            spec.k, spec.n_per, spec.seed = k, per_class, sub
+            X, labels = synth_subspaces(spec)
+        rng = np.random.default_rng(sub)
+        tr_idx, te_idx = [], []
+        for c in range(k):
+            idx = rng.permutation(np.flatnonzero(labels == c))
+            tr_idx.extend(idx[: int(cfg["train_count"])])
+            te_idx.extend(idx[int(cfg["train_count"]): per_class])
+        Xtr, ytr = X[:, tr_idx], labels[tr_idx]
+        Xte, yte = X[:, te_idx], labels[te_idx]
+        label = f"on split {split}"
+        dec, record = _solve(method, Xtr, scfg, label)
+        t0 = time.perf_counter()
+        model = train_classifier(dec.L_star @ Xtr, one_hot(ytr, k), scfg, L_star=dec.L_star)
+        fit = _record("classifier", label, t0, model, model.residual)
+        pred, _ = predict_labels(model, Xte)
+        return classification_accuracy(pred, yte), [record, fit]
 
-    results = _run_indexed([job(s) for s in range(int(cfg["splits"]))])
+    results = _run_indexed(run, [(s,) for s in range(int(cfg["splits"]))])
     accs = [a for a, _ in results]
     rows = [(s, float(a)) for s, a in enumerate(accs)]
     _write_csv(out / "accuracy.csv", ["split", "accuracy"], rows)
@@ -262,22 +259,22 @@ def cmd_bench_synth(cfg, out):
 
 
 def cmd_grid(cfg, out):
+    if _methods(cfg) != ["aslrc"]:
+        raise ValueError("grid sweeps ASLRC's alpha and beta: method must be 'aslrc'")
     X_clean, labels = synth_subspaces(_subspace_spec(cfg))
     pct = float(cfg["pct"])
     X = corrupt_random_pixels(X_clean, pct, seed=int(cfg["seed"])) if pct > 0 else X_clean
     values = cfg["grid_values"] or CANDIDATE_GRID
     points = [(a, b) for a in values for b in values]
 
-    def job(idx, a, b):
-        def run():
-            scfg = _solver_config({**cfg, "alpha": a, "beta": b})
-            dec, record = _solve("aslrc", X, scfg, f"at alpha {a:g}, beta {b:g}")
-            zeta = reconstruction_accuracy(X_clean, X @ dec.Z_star)
-            return (idx, float(a), float(b), float(zeta),
-                    float(offblock_ratio(dec.Z_star, labels)), dec.iterations), record
-        return run
+    def run(idx, a, b):
+        scfg = _solver_config({**cfg, "alpha": a, "beta": b})
+        dec, record = _solve("aslrc", X, scfg, f"at alpha {a:g}, beta {b:g}")
+        zeta = reconstruction_accuracy(X_clean, X @ dec.Z_star)
+        return (idx, float(a), float(b), float(zeta),
+                float(offblock_ratio(dec.Z_star, labels)), dec.iterations), record
 
-    results = _run_indexed([job(i, a, b) for i, (a, b) in enumerate(points)])
+    results = _run_indexed(run, [(i, a, b) for i, (a, b) in enumerate(points)])
     _write_csv(out / "grid.csv",
                ["sweep_index", "alpha", "beta", "zeta_acc", "offblock_ratio", "iterations"],
                [row for row, _ in results])
@@ -351,11 +348,10 @@ def main(argv=None):
         cfg = load_config(args)
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
-        phases = {}
         t0 = time.time()
         with blas.one_blas_thread():
             summary, solves = _COMMANDS[args.subcommand](cfg, out)
-        phases[args.subcommand] = time.time() - t0
+        wall = {args.subcommand: time.time() - t0}
         for r in solves:
             if not r["converged"]:
                 what = f"{r['method']} {r['label']}".rstrip()
@@ -369,13 +365,13 @@ def main(argv=None):
             "config_hash": _config_hash(cfg),
             "version": __version__,
             "threads": _threads_record(),
-            "wall_clock_seconds": phases,
+            "wall_clock_seconds": wall,
             "summary": summary,
             "solves": solves,
         }
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, default=str)
-    except (ToolkitError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ToolkitError, ValueError, TypeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -3,9 +3,11 @@
 Minimizes ||Z||_* + ||L||_* + lambda ||E||_1 subject to X = XZ + LX + E
 by inexact ALM with splitting variables J = Z and F = L.  It runs on the
 main solver's inexact-ALM loop (zero initialization, mu schedule, residual
-check, multiplier ascent) and shares its L solve: LatLRR's L subproblem is
-ASLRC's at beta = 0 (`solver._solve_L`, in the range of X), which also
-returns L @ X for the sweep (`solver._salient`).  Comparisons thus isolate the model.
+check, multiplier ascent), with the main solver's residuals of its three
+constraints (`solver._lrr_residual_blocks`) and its L step: LatLRR's L
+subproblem is ASLRC's at beta = 0 (`solver._solve_L`, in the range of X),
+which leaves L @ X for the sweep (`solver._salient`).  Comparisons thus
+isolate the model.
 """
 
 import dataclasses
@@ -16,14 +18,9 @@ from scipy.linalg import cho_solve
 
 from .blas import one_blas_thread
 from .prox import svt, thin_svd, weighted_shrink
-from .solver import (SolverConfig, _add_div, _data_matrix, _decomposition, _penalized,
-                     _run_alm, _salient, _solve_L, _spd_factor)
-
-
-def _residual_blocks(state, X):
-    return {"Y1": X - X @ state.Z - _salient(state, X) - state.E,
-            "Y2": state.Z - state.J,
-            "Y3": state.L - state.F}
+from .solver import (SolverConfig, _add_div, _data_matrix, _decomposition,
+                     _lrr_residual_blocks, _penalized, _run_alm, _salient, _solve_L,
+                     _spd_factor)
 
 
 def latlrr_lagrangian(state, X, lam, blocks=None):
@@ -32,7 +29,7 @@ def latlrr_lagrangian(state, X, lam, blocks=None):
     `blocks` are the state's residual blocks, when the caller already has them.
     """
     if blocks is None:
-        blocks = _residual_blocks(state, X)
+        blocks = _lrr_residual_blocks(state, X)
     # svt returns an all-zero J or F below its threshold; its nuclear norm is 0.
     value = ((thin_svd(state.J).singular_values.sum() if state.J.any() else 0.0)
              + (thin_svd(state.F).singular_values.sum() if state.F.any() else 0.0)
@@ -59,22 +56,21 @@ def latlrr_solve(X, lam=None, cfg=None, record_lagrangian=True, callback=None):
 
     def sweep(s):
         # L mu (XX' + I) = P X' + mu H: ASLRC's L system without its beta term
-        s.L, LX = _solve_L(basis, s.mu, s.Y1 + s.mu * (X - X @ s.Z - s.E),
-                           _add_div(s.F, s.Y3, -s.mu))
-        s._lx = (s.L, X, LX)
+        s.L = _solve_L(s, X, basis)
+        LX = _salient(s, X)
         # (X'X + I) Z = X'(X - LX - E) + J + (X'Y1 - Y2)/mu
         s.Z = cho_solve(zfac, X.T @ (X - LX - s.E) + s.J + (X.T @ s.Y1 - s.Y2) / s.mu,
                         check_finite=False)
-        s.E = weighted_shrink(X - X @ s.Z - LX + s.Y1 / s.mu, np.full((d, N), lam / s.mu))
+        s.E = weighted_shrink(X - X @ s.Z - LX + s.Y1 / s.mu, lam / s.mu)
         s.J = svt(s.Z + s.Y2 / s.mu, 1.0 / s.mu)
         s.F = svt(_add_div(s.L, s.Y3, s.mu), 1.0 / s.mu)
 
     z = np.zeros
     state = SimpleNamespace(Z=z((N, N)), J=z((N, N)), L=z((d, d)), F=z((d, d)), E=z((d, N)),
-                            Y1=z((d, N)), Y2=z((N, N)), Y3=z((d, d)), mu=cfg.mu0, iter=0,
-                            _lx=None)
+                            Y1=z((d, N)), Y2=z((N, N)), Y3=z((d, d)), mu=cfg.mu0, iter=0)
     lagrangian = ((lambda state, blocks: latlrr_lagrangian(state, X, lam, blocks))
                   if record_lagrangian else None)
-    trace, converged = _run_alm(state, cfg, sweep, lambda state: _residual_blocks(state, X),
+    trace, converged = _run_alm(state, cfg, sweep,
+                                lambda state: _lrr_residual_blocks(state, X),
                                 lagrangian, callback)
     return _decomposition(X, state, trace, converged)

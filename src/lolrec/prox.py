@@ -1,7 +1,7 @@
 """Closed-form proximal/shrinkage operators and a thin-SVD wrapper.
 
-These are the building blocks of every solver update: scalar soft
-thresholding, its entrywise-weighted form, singular value thresholding
+These are the building blocks of every solver update: soft thresholding
+at a scalar or per-entry threshold, singular value thresholding
 (prox of the nuclear norm), and column-wise group shrinkage (prox of the
 L2,1 norm).
 """
@@ -26,22 +26,19 @@ def _require_finite(M, who):
         raise NumericalError(f"{who}: non-finite input")
 
 
-def scalar_shrink(x, eps):
-    """Soft threshold: sgn(x) * max(|x| - eps, 0)."""
-    if eps < 0:
-        raise InvalidThreshold(f"negative threshold {eps}")
-    return np.sign(x) * np.maximum(np.abs(x) - eps, 0.0)
-
-
 def weighted_shrink(M, T):
-    """Entrywise soft threshold of M with per-entry thresholds T >= 0."""
+    """Entrywise soft threshold sgn(M) max(|M| - T, 0), with T >= 0 either a
+    scalar or one threshold per entry of M."""
     M = np.asarray(M, dtype=float)
     T = np.asarray(T, dtype=float)
-    if M.shape != T.shape:
+    if T.ndim and M.shape != T.shape:
         raise DimensionError(f"shape mismatch {M.shape} vs {T.shape}")
     if np.any(T < 0):
-        raise InvalidThreshold("negative entry in threshold matrix")
+        raise InvalidThreshold("negative threshold")
     return np.sign(M) * np.maximum(np.abs(M) - T, 0.0)
+
+
+scalar_shrink = weighted_shrink
 
 
 def thin_svd(M):
@@ -90,6 +87,11 @@ def svt(M, tau):
     return (f.U * s) @ f.V.T
 
 
+def _shrink_factor(norms, taus):
+    """(n - t)/n for each norm n above its threshold t, else 0."""
+    return np.divide(norms - taus, norms, out=np.zeros_like(norms), where=norms > taus)
+
+
 def _l21_scale(M, tau):
     """Column factors of the L2,1 prox at float M: (||m_i|| - tau)/||m_i||
     where ||m_i|| > tau, else 0.
@@ -99,21 +101,20 @@ def _l21_scale(M, tau):
     non-finite, and such a column raises NumericalError.  A finite column
     whose sum overflowed, or whose norm is below 1e-150 where its squares
     may underflow, is divided by its largest |entry|, and tau with it; an
-    all-zero column keeps norm 0.
+    all-zero column gets factor 0.
     """
     norms = np.sqrt(np.einsum("ij,ij->j", M, M))
-    taus = np.full(norms.shape, float(tau))
     redo = np.flatnonzero(~np.isfinite(norms) | (norms < 1e-150))
-    if redo.size:
-        cols = M[:, redo]
-        _require_finite(cols, "column_l21_shrink")
-        peak = np.abs(cols).max(axis=0)
-        live = peak > 0
-        norms[redo[live]] = np.linalg.norm(cols[:, live] / peak[live], axis=0)
-        taus[redo[live]] = tau / peak[live]
-    scale = np.zeros_like(norms)
-    hit = norms > taus
-    scale[hit] = (norms[hit] - taus[hit]) / norms[hit]
+    if not redo.size:
+        return _shrink_factor(norms, tau)
+    cols = M[:, redo]
+    _require_finite(cols, "column_l21_shrink")
+    norms[redo] = 0.0  # factor 0 unless rescaled below; no inf / inf
+    scale = _shrink_factor(norms, tau)
+    peak = np.abs(cols).max(axis=0)
+    live = peak > 0
+    scale[redo[live]] = _shrink_factor(np.linalg.norm(cols[:, live] / peak[live], axis=0),
+                                       tau / peak[live])
     return scale
 
 

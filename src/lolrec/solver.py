@@ -9,7 +9,8 @@ block updates; a single augmented Lagrangian ties them together.
 Per-sweep update order is L, Z, E, R, then the splitting variables
 J, F, Q, W, S: the Z update consumes the fresh L, while L, R consume the
 previous sweep's Z, E, R and W, S respectively.  LatLRR (`latlrr.py`) shares
-the ALM loop (`_run_alm`), the L solve (`_solve_L`) and L @ X (`_salient`).
+the ALM loop (`_run_alm`), the L step (`_solve_L`), L @ X (`_salient`) and
+the residuals of X = XZ + LX + E, J = Z and F = L (`_lrr_residual_blocks`).
 """
 
 from dataclasses import dataclass, field
@@ -66,8 +67,6 @@ class AslrcState:
     Y6: np.ndarray
     mu: float
     iter: int = 0
-    # (L, X, L @ X) for the last product `_salient` computed; not a block.
-    _lx: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -120,19 +119,28 @@ def _spd_factor(M):
 
 
 def _spd_solve(M, B):
-    """Solve M @ X = B for symmetric positive-definite M."""
-    return cho_solve(_spd_factor(0.5 * (M + M.T)), B, check_finite=False)
+    """Solve M @ X = B for symmetric positive-definite M.  `cho_factor` reads
+    one triangle of M, so M must be exactly symmetric, as `A @ A.T` is."""
+    return cho_solve(_spd_factor(M), B, check_finite=False)
 
 
-def _solve_L(basis, mu, P, H, extra=0.0):
-    """The L step of both models: solve L M = P X' + mu H in the range of X.
-    Returns (L, L @ X).
+def _add_div(A, B, c):
+    """A + B / c as one new array: the quotient's buffer takes the sum."""
+    out = B / c
+    out += A
+    return out
 
+
+def _solve_L(state, X, basis, extra=0.0):
+    """The L step of both models: minimize the Lagrangian over L by solving
+    L M = P X' + mu H in the range of X.  Returns L, and leaves
+    (L, X, L @ X) in the state's `_lx` for `_salient`.
+
+    P = Y1 + mu (X - XZ - E) and H = F - Y3/mu come from the state;
     M = mu (XX' + I) + Q extra Q', where (Q, B) = `basis` is the reduced QR
     of X (Q is d x r orthonormal, r = min(d, N)) and `extra` is an r x r
-    term the model adds (ASLRC: 2 beta CC'; LatLRR: none).  H = F - Y3/mu is
-    the d x d part of the right-hand side, already divided by mu, so that it
-    enters L as it is.  XX' maps into range(X), so
+    term the model adds (ASLRC: 2 beta CC'; LatLRR: none, its L system
+    multiplied by mu being ASLRC's at beta = 0).  XX' maps into range(X), so
     M = mu (I - QQ') + Q K Q' with K = mu (I + BB') + extra, and an r x r
     solve with K (K >= mu I) replaces the d x d one:
         L = H + (W - HQ) Q',    W = (P B' + mu HQ) K^-1,
@@ -142,6 +150,9 @@ def _solve_L(basis, mu, P, H, extra=0.0):
     For d > N the step makes two d x d x r products: HQ and (W - HQ) Q'.
     """
     Q, B = basis
+    mu = state.mu
+    P = state.Y1 + mu * (X - X @ state.Z - state.E)
+    H = _add_div(state.F, state.Y3, -mu)
     K = mu * (np.eye(B.shape[0]) + B @ B.T) + extra
     HQ = H @ Q
     # W K = P B' + mu HQ with K symmetric, so solve K W' = (P B' + mu HQ)'.
@@ -153,45 +164,34 @@ def _solve_L(basis, mu, P, H, extra=0.0):
     else:
         L = (W - HQ) @ Q.T
         L += H
-    return L, W @ B
-
-
-def _add_div(A, B, c):
-    """A + B / c as one new array: the quotient's buffer takes the sum."""
-    out = B / c
-    out += A
-    return out
+    state._lx = (L, X, W @ B)
+    return L
 
 
 def update_L(state, X, cfg, basis=None):
     """Minimize the Lagrangian over the projection L: `_solve_L` with
-    P = Y1 + mu (X - XZ - E), H = F - Y3/mu and extra = 2 beta CC',
-    C = B - BR, since ASLRC's term 2 beta DD' (D = X - XR) is Q extra Q'.
-    `basis`, the reduced QR X = QB, is built here when not passed.  Returns
-    L; the L @ X that `_solve_L` also returns goes into the state's `_lx`.
+    extra = 2 beta CC', C = B - BR, since ASLRC's term 2 beta DD'
+    (D = X - XR) is Q extra Q'.  `basis`, the reduced QR X = QB, is built
+    here when not passed.
     """
     basis = basis if basis is not None else np.linalg.qr(X)
-    mu, B = state.mu, basis[1]
-    C = B - B @ state.R
-    L, LX = _solve_L(basis, mu, state.Y1 + mu * (X - X @ state.Z - state.E),
-                     _add_div(state.F, state.Y3, -mu), 2.0 * cfg.beta * (C @ C.T))
-    state._lx = (L, X, LX)
-    return L
+    C = basis[1] - basis[1] @ state.R
+    return _solve_L(state, X, basis, 2.0 * cfg.beta * (C @ C.T))
 
 
 def _salient(state, X):
-    """L @ X for the state's current L, computed at most once per L and X.
+    """L @ X for the state's current L and X.
 
-    Each model's L step gets it from `_solve_L` as W B and puts it in the
-    state's `_lx`; the later block updates, the residuals, the Lagrangian
-    and `_decomposition` reuse it.  Every update returns a new array, so a
-    state whose L has been replaced by other means (or a new X) gets a
-    fresh product here.
+    `_solve_L` is the one writer of the state's `_lx` (absent until the
+    first L step): it leaves (L, X, W B) there, and the later block
+    updates, the residuals, the Lagrangian and `_decomposition` reuse that
+    product.  Every update returns a new array, so a state whose L has been
+    replaced by other means (or a new X) gets a fresh product here.
     """
     cached = getattr(state, "_lx", None)
-    if cached is None or cached[0] is not state.L or cached[1] is not X:
-        cached = state._lx = (state.L, X, state.L @ X)
-    return cached[2]
+    if cached is not None and cached[0] is state.L and cached[1] is X:
+        return cached[2]
+    return state.L @ X
 
 
 def update_Z(state, X, zfactor=None):
@@ -201,10 +201,9 @@ def update_Z(state, X, zfactor=None):
     """
     rhs = ((X.T @ state.Y1 - state.Y2 - state.Y4) / state.mu
            + X.T @ (X - _salient(state, X) - state.E) + state.J + state.Q)
-    if zfactor is not None:
-        return cho_solve(zfactor, rhs, check_finite=False)
-    N = X.shape[1]
-    return _spd_solve(2.0 * np.eye(N) + X.T @ X, rhs)
+    if zfactor is None:
+        zfactor = _spd_factor(2.0 * np.eye(X.shape[1]) + X.T @ X)
+    return cho_solve(zfactor, rhs, check_finite=False)
 
 
 def update_R(state, X, cfg):
@@ -258,19 +257,23 @@ def update_S(state, cfg):
 def update_E(state, X, cfg):
     """L1 prox: uniform shrink of X - XZ - LX + Y1/mu at lambda/mu."""
     target = X - X @ state.Z - _salient(state, X) + state.Y1 / state.mu
-    return weighted_shrink(target, np.full(target.shape, cfg.lam / state.mu))
+    return weighted_shrink(target, cfg.lam / state.mu)
+
+
+def _lrr_residual_blocks(state, X):
+    """The residuals of X = XZ + LX + E, J = Z and F = L that both models
+    share, keyed by the multiplier that prices each."""
+    return {"Y1": X - X @ state.Z - _salient(state, X) - state.E,
+            "Y2": state.Z - state.J,
+            "Y3": state.L - state.F}
 
 
 def _residual_blocks(state, X):
     """The six constraint residuals, keyed by the multiplier that prices each."""
-    return {
-        "Y1": X - X @ state.Z - _salient(state, X) - state.E,
-        "Y2": state.Z - state.J,
-        "Y3": state.L - state.F,
-        "Y4": state.Z - state.Q,
-        "Y5": state.R - state.S,
-        "Y6": 1.0 - state.W - state.R,
-    }
+    return {**_lrr_residual_blocks(state, X),
+            "Y4": state.Z - state.Q,
+            "Y5": state.R - state.S,
+            "Y6": 1.0 - state.W - state.R}
 
 
 def _max_abs(blocks):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lolrec import cli
 from lolrec.cli import main
 from lolrec.matrix_io import ImageGrid, save_matrix_csv, save_pgm
 
@@ -150,6 +151,22 @@ class TestGrid:
         lines = (out / "grid.csv").read_text().strip().split("\n")
         assert len(lines) == 5  # header + 2x2 grid
 
+    @pytest.mark.parametrize("args,methods", [
+        (["--method", "latlrr"], None), ([], ["aslrc", "latlrr"])])
+    def test_rejects_methods_other_than_aslrc(self, tmp_path, fast_cfg, monkeypatch,
+                                              capsys, args, methods):
+        """The alpha/beta grid exists only for ASLRC: asking for another
+        method fails before any solve and writes no grid.csv."""
+        cfg = json.loads(fast_cfg.read_text())
+        if methods:
+            cfg["methods"] = methods
+        fast_cfg.write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "_solve", lambda *a, **k: pytest.fail("solved"))
+        out = tmp_path / "out"
+        assert run(["grid", "--config", fast_cfg, "--out", out, *args]) == 2
+        assert capsys.readouterr().err.startswith("error: ValueError: ")
+        assert not (out / "grid.csv").exists()
+
 
 class TestHarness:
     def test_determinism(self, tmp_path, fast_cfg):
@@ -180,6 +197,17 @@ class TestHarness:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert run(["bench-synth", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize("subcommand,bad", [
+        ("classify", {"alpha": "x"}), ("denoise", {"alpha": "x"}),
+        ("denoise", {"pct_list": 5}), ("grid", {"grid_values": 1}),
+        ("classify", {"splits": None})])
+    def test_wrongly_typed_config_value(self, tmp_path, capsys, subcommand, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        assert run([subcommand, "--config", cfg, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: TypeError: ") and "Traceback" not in err
 
     def test_manifest_fields(self, tmp_path, fast_cfg):
         out = tmp_path / "out"

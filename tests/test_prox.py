@@ -64,6 +64,29 @@ class TestWeightedShrink:
                 assert abs(out[i, j] - grid[np.argmin(obj)]) <= 1e-4
 
 
+class TestShrinkThresholdShapes:
+    """`weighted_shrink` takes a scalar threshold or one with M's shape."""
+
+    @pytest.mark.parametrize("M", [
+        pytest.param(np.random.default_rng(3).standard_normal((5, 7)), id="random"),
+        pytest.param(np.array([[0.0, -0.0], [-0.0, 0.0]]), id="signed-zeros"),
+        pytest.param(np.zeros((0, 5)), id="empty")])
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_scalar_equals_full_matrix(self, M, t):
+        out = weighted_shrink(M, t)
+        full = weighted_shrink(M, np.full(M.shape, t))
+        assert np.array_equal(out, full)
+        assert np.array_equal(np.signbit(out), np.signbit(full))
+
+    def test_negative_scalar(self):
+        with pytest.raises(InvalidThreshold):
+            weighted_shrink(np.ones((2, 3)), -1e-12)
+
+    def test_row_threshold_is_not_broadcast(self):
+        with pytest.raises(DimensionError):
+            weighted_shrink(np.ones((4, 3)), np.ones((1, 3)))
+
+
 class TestSvt:
     def test_diagonal(self):
         out = svt(np.diag([3.0, 0.4]), 1.0)

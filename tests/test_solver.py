@@ -106,13 +106,12 @@ class TestUpdateL:
         }[shape]()
         s = random_state(rng, *X.shape, mu=mu)
         if model == "aslrc":
-            L = update_L(s, X, CFG)
-            assert s._lx[0] is L and s._lx[1] is X
-            return s, X, CFG, L, s._lx[2]
-        # LatLRR's L system is ASLRC's at beta = 0: no extra K term.
-        L, LX = solver._solve_L(np.linalg.qr(X), mu, s.Y1 + mu * (X - X @ s.Z - s.E),
-                                s.F - s.Y3 / mu)
-        return s, X, dataclasses.replace(CFG, beta=0.0), L, LX
+            L, cfg = update_L(s, X, CFG), CFG
+        else:
+            # LatLRR's L system is ASLRC's at beta = 0: no extra K term.
+            L, cfg = solver._solve_L(s, X, np.linalg.qr(X)), dataclasses.replace(CFG, beta=0.0)
+        assert s._lx[0] is L and s._lx[1] is X
+        return s, X, cfg, L, s._lx[2]
 
     @pytest.mark.parametrize("mu", L_MUS)
     @pytest.mark.parametrize("shape,model", L_CASES)
@@ -572,9 +571,8 @@ def test_nan_in_any_step_raises_in_its_sweep(monkeypatch, model, module, step, p
         out = real(*args, **kwargs)
         calls.append(step)
         if len(calls) == 3:
-            # `_solve_L` returns (L, L @ X): its L is poisoned.
             out = copy.deepcopy(out)
-            (out[0] if isinstance(out, tuple) else out)[0, -1] = np.nan
+            out[0, -1] = np.nan
         return out
 
     monkeypatch.setattr(module, step, poisoned)
@@ -583,6 +581,46 @@ def test_nan_in_any_step_raises_in_its_sweep(monkeypatch, model, module, step, p
         MODELS[model](X, labels)
     assert len(calls) < 3 + per_sweep  # the step ran in no later sweep
     assert raised.value.iteration == 2 // per_sweep  # the sweep of the 3rd call
+
+
+# model -> the shape of the error block its L1 prox shrinks, on the 12 x 16
+# instance of `test_nan_in_any_step_raises_in_its_sweep` (2 classes).
+ERROR_SHAPES = {"aslrc": (12, 16), "latlrr": (12, 16), "classifier": (16, 2)}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_error_step_thresholds_at_a_scalar(monkeypatch, model):
+    """Each model's E (or Ec) step passes `weighted_shrink` one 0-d threshold:
+    no sweep builds a threshold matrix."""
+    module = {"aslrc": solver, "latlrr": latlrr, "classifier": classify}[model]
+    real, ndims = module.weighted_shrink, []
+
+    def spy(M, T):
+        if np.shape(M) == ERROR_SHAPES[model]:
+            ndims.append(np.ndim(T))
+        return real(M, T)
+
+    monkeypatch.setattr(module, "weighted_shrink", spy)
+    X, labels = synth_subspaces(SubspaceSpec(k=2, sub_dim=2, d=12, n_per=8, seed=1))
+    MODELS[model](X, labels)
+    assert len(ndims) > 2 and set(ndims) == {0}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_every_factored_matrix_is_exactly_symmetric(monkeypatch, model):
+    """`_spd_factor` gets no symmetrized copy and `cho_factor` reads one
+    triangle, so every matrix a model factors must equal its transpose."""
+    real, seen = solver._spd_factor, []
+
+    def spy(M):
+        seen.append(np.array_equal(M, M.T))
+        return real(M)
+
+    for module in (solver, latlrr, classify):
+        monkeypatch.setattr(module, "_spd_factor", spy)
+    X, labels = synth_subspaces(SubspaceSpec(k=2, sub_dim=2, d=12, n_per=8, seed=1))
+    MODELS[model](X, labels)
+    assert seen and all(seen)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

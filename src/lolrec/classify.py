@@ -7,7 +7,6 @@ label = argmax of the soft vector, ties to the lowest class index.
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -15,7 +14,7 @@ from scipy.linalg import cho_solve
 from .blas import one_blas_thread
 from .errors import DegenerateFeatures, DimensionError
 from .prox import weighted_shrink
-from .solver import SolverConfig, _data_matrix, _run_alm, _spd_factor
+from .solver import SolverConfig, _data_matrix, _run_alm, _spd_factor, _zero_state
 
 
 def validate_labels(H):
@@ -82,8 +81,7 @@ def train_classifier(features, H, cfg=None, L_star=None):
         s.C = cho_solve(gfac, F @ (Ht - s.Ec + s.Y / s.mu), check_finite=False)
         s.Ec = weighted_shrink(Ht - F.T @ s.C + s.Y / s.mu, 1.0 / s.mu)
 
-    state = SimpleNamespace(C=np.zeros((d, c)), Ec=np.zeros((N, c)), Y=np.zeros((N, c)),
-                            mu=cfg.mu0, iter=0)
+    state = _zero_state(cfg, C=(d, c), Ec=(N, c), Y=(N, c))
     trace, converged = _run_alm(state, cfg, sweep, lambda s: {"Y": Ht - F.T @ s.C - s.Ec})
     return ClassifierModel(C_star=state.C, L_star=np.asarray(L_star, dtype=float),
                            training_error=state.Ec, ridge_delta=float(delta),

@@ -1,8 +1,8 @@
 """Experiment harness.
 
 Subcommands: decompose | denoise | classify | bench-synth | grid.
-Configuration comes from a flat-key JSON file (--config); command-line
-flags override file values.  Every run writes a manifest with the config
+Configuration comes from a flat-key JSON file (--config); each flag
+overrides the config key of the same name.  Every run writes a manifest with the config
 hash, toolkit version, thread settings, the subcommand's wall-clock time,
 and one record per solve.  Every subcommand prints one stderr warning per
 solve that stopped at max_iter unconverged, and counts them in its summary.
@@ -18,6 +18,7 @@ bytes are reproducible.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
@@ -43,9 +44,12 @@ CANDIDATE_GRID = [10.0 ** p for p in range(-8, 9, 2)]
 
 METHODS = ("aslrc", "latlrr")
 
+# Each SolverConfig field by its config key: the field name, except lam's.
+_SOLVER_FIELDS = {"lambda" if f.name == "lam" else f.name: f
+                  for f in dataclasses.fields(SolverConfig)}
+
 DEFAULTS = {
-    "alpha": 0.01, "beta": 0.01, "lambda": 0.015,
-    "mu0": 1e-6, "eta": 1.12, "mu_max": 1e10, "tol": 1e-6, "max_iter": 300,
+    **{key: f.default for key, f in _SOLVER_FIELDS.items()},
     "seed": 0, "method": "aslrc", "methods": None,
     "input": None, "out": "out", "resize": None,
     "protocol": "pixels", "pct_list": [10, 20, 30, 40, 50], "snr_list": [10.0],
@@ -92,19 +96,34 @@ def _solve(method, X, scfg, label, record_lagrangian=False):
 
 
 def _solver_config(cfg):
-    return SolverConfig(
-        alpha=cfg["alpha"], beta=cfg["beta"], lam=cfg["lambda"],
-        mu0=cfg["mu0"], eta=cfg["eta"], mu_max=cfg["mu_max"],
-        tol=cfg["tol"], max_iter=int(cfg["max_iter"]),
-    )
+    return SolverConfig(**{f.name: cfg[key] for key, f in _SOLVER_FIELDS.items()})
+
+
+def _sweep(cfg, key):
+    """The values swept at config key `key`, which must be a non-empty list."""
+    values = cfg[key]
+    if not isinstance(values, list):
+        raise TypeError(f"{key} must be a list, got {values!r}")
+    if not values:
+        raise ValueError(f"{key} is empty: nothing to run")
+    return values
 
 
 def _methods(cfg):
-    methods = cfg["methods"] or [cfg["method"]]
+    """The methods a subcommand runs: `methods`, or when that is null, `method`."""
+    methods = [cfg["method"]] if cfg["methods"] is None else _sweep(cfg, "methods")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     return methods
+
+
+def _method(cfg):
+    """The one method of a subcommand that runs one."""
+    methods = _methods(cfg)
+    if len(methods) != 1:
+        raise ValueError(f"this subcommand runs one method, got methods {methods!r}")
+    return methods[0]
 
 
 def _write_csv(path, header, rows):
@@ -146,7 +165,7 @@ def cmd_decompose(cfg, out):
         raise ValueError("multiple inputs must all be PGM images")
 
     scfg = _solver_config(cfg)
-    dec, record = _solve(_methods(cfg)[0], X, scfg, "")
+    dec, record = _solve(_method(cfg), X, scfg, "")
 
     save_matrix_csv(dec.Z_star, out / "Z.csv")
     save_matrix_csv(dec.L_star, out / "L.csv")
@@ -168,8 +187,7 @@ def _corrupt(X, protocol, level, seed):
     if protocol == "pixels":
         return corrupt_random_pixels(X, level, seed=seed)
     if protocol == "invert":
-        scaled = invert_pixels(np.clip(X, 0, 1) * 255.0, level, seed=seed)
-        return scaled / 255.0
+        return invert_pixels(X * 255.0, level, seed=seed) / 255.0
     if protocol == "gaussian":
         return add_gaussian_noise_snr(X, level, seed=seed)
     raise ValueError(f"unknown corruption protocol {protocol!r}")
@@ -183,14 +201,14 @@ def cmd_denoise(cfg, out):
     scfg = _solver_config(cfg)
     methods = _methods(cfg)
     protocol = cfg["protocol"]
-    levels = cfg["snr_list"] if protocol == "gaussian" else cfg["pct_list"]
+    levels = _sweep(cfg, "snr_list" if protocol == "gaussian" else "pct_list")
 
     def run(idx, level):
         X_noisy = _corrupt(X_clean, protocol, level, seed=int(cfg["seed"]) + idx)
         rows, records = [], []
         for m in methods:
             dec, record = _solve(m, X_noisy, scfg, f"at level {level:g}")
-            zeta_rec = reconstruction_accuracy(X_clean, X_noisy @ dec.Z_star)
+            zeta_rec = reconstruction_accuracy(X_clean, dec.principal)
             zeta_emb = reconstruction_accuracy(X_clean, dec.L_star @ X_clean)
             rows.append((idx, float(level), m, float(zeta_rec), float(zeta_emb)))
             records.append(record)
@@ -208,7 +226,10 @@ def cmd_classify(cfg, out):
     k = int(cfg["classes"])
     per_class = int(cfg["train_count"]) + int(cfg["test_count"])
     scfg = _solver_config(cfg)
-    method = _methods(cfg)[0]
+    method = _method(cfg)
+    splits = int(cfg["splits"])
+    if splits < 1:
+        raise ValueError(f"splits must be at least 1, got {splits}")
 
     def run(split):
         sub = seed + split
@@ -235,7 +256,7 @@ def cmd_classify(cfg, out):
         pred, _ = predict_labels(model, Xte)
         return classification_accuracy(pred, yte), [record, fit]
 
-    results = _run_indexed(run, [(s,) for s in range(int(cfg["splits"]))])
+    results = _run_indexed(run, [(s,) for s in range(splits)])
     accs = [a for a, _ in results]
     rows = [(s, float(a)) for s, a in enumerate(accs)]
     _write_csv(out / "accuracy.csv", ["split", "accuracy"], rows)
@@ -248,7 +269,7 @@ def cmd_classify(cfg, out):
 def cmd_bench_synth(cfg, out):
     X, labels = synth_subspaces(_subspace_spec(cfg))
     scfg = _solver_config(cfg)
-    method = _methods(cfg)[0]
+    method = _method(cfg)
     dec, record = _solve(method, X, scfg, "", record_lagrangian=True)
     _write_trace(out / "trace.csv", dec.trace)
     _write_csv(out / "bench.csv",
@@ -264,13 +285,13 @@ def cmd_grid(cfg, out):
     X_clean, labels = synth_subspaces(_subspace_spec(cfg))
     pct = float(cfg["pct"])
     X = corrupt_random_pixels(X_clean, pct, seed=int(cfg["seed"])) if pct > 0 else X_clean
-    values = cfg["grid_values"] or CANDIDATE_GRID
+    values = CANDIDATE_GRID if cfg["grid_values"] is None else _sweep(cfg, "grid_values")
     points = [(a, b) for a in values for b in values]
 
     def run(idx, a, b):
         scfg = _solver_config({**cfg, "alpha": a, "beta": b})
         dec, record = _solve("aslrc", X, scfg, f"at alpha {a:g}, beta {b:g}")
-        zeta = reconstruction_accuracy(X_clean, X @ dec.Z_star)
+        zeta = reconstruction_accuracy(X_clean, dec.principal)
         return (idx, float(a), float(b), float(zeta),
                 float(offblock_ratio(dec.Z_star, labels)), dec.iterations), record
 
@@ -301,7 +322,7 @@ def build_parser():
     parser.add_argument("--method", choices=METHODS)
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--beta", type=float)
-    parser.add_argument("--lambda", dest="lam", type=float)
+    parser.add_argument("--lambda", dest="lambda", type=float)
     parser.add_argument("--tol", type=float)
     parser.add_argument("--max-iter", dest="max_iter", type=int)
     return parser
@@ -316,12 +337,8 @@ def load_config(args):
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
-    overrides = {
-        "out": args.out, "input": args.input, "seed": args.seed,
-        "method": args.method, "alpha": args.alpha, "beta": args.beta,
-        "lambda": args.lam, "tol": args.tol, "max_iter": args.max_iter,
-    }
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    # Each flag's dest is the config key it overrides.
+    cfg.update((k, v) for k, v in vars(args).items() if k in DEFAULTS and v is not None)
     return cfg
 
 

@@ -11,7 +11,6 @@ isolate the model.
 """
 
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -20,7 +19,7 @@ from .blas import one_blas_thread
 from .prox import svt, thin_svd, weighted_shrink
 from .solver import (SolverConfig, _add_div, _data_matrix, _decomposition,
                      _lrr_residual_blocks, _penalized, _run_alm, _salient, _solve_L,
-                     _spd_factor)
+                     _spd_factor, _zero_state)
 
 
 def latlrr_lagrangian(state, X, lam, blocks=None):
@@ -65,9 +64,8 @@ def latlrr_solve(X, lam=None, cfg=None, record_lagrangian=True, callback=None):
         s.J = svt(s.Z + s.Y2 / s.mu, 1.0 / s.mu)
         s.F = svt(_add_div(s.L, s.Y3, s.mu), 1.0 / s.mu)
 
-    z = np.zeros
-    state = SimpleNamespace(Z=z((N, N)), J=z((N, N)), L=z((d, d)), F=z((d, d)), E=z((d, N)),
-                            Y1=z((d, N)), Y2=z((N, N)), Y3=z((d, d)), mu=cfg.mu0, iter=0)
+    nn, dd, dn = (N, N), (d, d), (d, N)
+    state = _zero_state(cfg, Z=nn, J=nn, L=dd, F=dd, E=dn, Y1=dn, Y2=nn, Y3=dd)
     lagrangian = ((lambda state, blocks: latlrr_lagrangian(state, X, lam, blocks))
                   if record_lagrangian else None)
     trace, converged = _run_alm(state, cfg, sweep,

@@ -9,11 +9,14 @@ block updates; a single augmented Lagrangian ties them together.
 Per-sweep update order is L, Z, E, R, then the splitting variables
 J, F, Q, W, S: the Z update consumes the fresh L, while L, R consume the
 previous sweep's Z, E, R and W, S respectively.  LatLRR (`latlrr.py`) shares
-the ALM loop (`_run_alm`), the L step (`_solve_L`), L @ X (`_salient`) and
-the residuals of X = XZ + LX + E, J = Z and F = L (`_lrr_residual_blocks`).
+the zero start (`_zero_state`), the ALM loop (`_run_alm`), the L step
+(`_solve_L`), L @ X (`_salient`) and the residuals of X = XZ + LX + E, J = Z
+and F = L (`_lrr_residual_blocks`).
 """
 
+import numbers
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -41,32 +44,12 @@ class SolverConfig:
             raise ValueError("need 0 < mu0 < mu_max")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        n = self.max_iter
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {n!r}")
         for name in ("alpha", "beta", "lam"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-
-
-@dataclass
-class AslrcState:
-    Z: np.ndarray
-    J: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-    S: np.ndarray
-    W: np.ndarray
-    L: np.ndarray
-    F: np.ndarray
-    E: np.ndarray
-    Y1: np.ndarray
-    Y2: np.ndarray
-    Y3: np.ndarray
-    Y4: np.ndarray
-    Y5: np.ndarray
-    Y6: np.ndarray
-    mu: float
-    iter: int = 0
 
 
 @dataclass
@@ -89,17 +72,19 @@ class Decomposition:
     iterations: int = 0
 
 
+def _zero_state(cfg, **shapes):
+    """The all-zero ALM start shared by every model: each named block at
+    `np.zeros(shape)`, mu = mu0 and iteration 0."""
+    return SimpleNamespace(**{name: np.zeros(shape) for name, shape in shapes.items()},
+                           mu=cfg.mu0, iter=0)
+
+
 def init_state(X, cfg=None):
-    """All-zero starting point with mu = mu0."""
-    cfg = cfg or SolverConfig()
+    """ASLRC's all-zero starting point with mu = mu0."""
     d, N = np.asarray(X).shape
-    z = lambda *s: np.zeros(s)
-    return AslrcState(
-        Z=z(N, N), J=z(N, N), Q=z(N, N), R=z(N, N), S=z(N, N), W=z(N, N),
-        L=z(d, d), F=z(d, d), E=z(d, N),
-        Y1=z(d, N), Y2=z(N, N), Y3=z(d, d), Y4=z(N, N), Y5=z(N, N), Y6=z(N, N),
-        mu=cfg.mu0,
-    )
+    nn, dd, dn = (N, N), (d, d), (d, N)
+    return _zero_state(cfg or SolverConfig(), Z=nn, J=nn, Q=nn, R=nn, S=nn, W=nn,
+                       L=dd, F=dd, E=dn, Y1=dn, Y2=nn, Y3=dd, Y4=nn, Y5=nn, Y6=nn)
 
 
 def _spd_factor(M):

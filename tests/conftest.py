@@ -1,18 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-
-from lolrec.solver import AslrcState
 
 
 def random_state(rng, d, N, mu=1.0, nonneg_W=True):
     """A random (finite, well-scaled) solver state for oracle tests."""
     g = lambda *s: rng.standard_normal(s) * 0.5
     W = rng.uniform(0.0, 1.0, (N, N)) if nonneg_W else g(N, N)
-    return AslrcState(
+    return SimpleNamespace(
         Z=g(N, N), J=g(N, N), Q=g(N, N), R=g(N, N), S=g(N, N), W=W,
         L=g(d, d), F=g(d, d), E=g(d, N),
         Y1=g(d, N), Y2=g(N, N), Y3=g(d, d), Y4=g(N, N), Y5=g(N, N), Y6=g(N, N),
-        mu=mu,
+        mu=mu, iter=0,
     )
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from lolrec import cli
 from lolrec.cli import main
-from lolrec.matrix_io import ImageGrid, save_matrix_csv, save_pgm
+from lolrec.matrix_io import ImageGrid, load_matrix_csv, save_matrix_csv, save_pgm
+from lolrec.solver import SolverConfig
 
 
 def read(path):
@@ -54,6 +55,20 @@ class TestDecompose:
         assert (out / "panel.pgm").exists()
         assert (out / "LX.csv").exists()
 
+    def test_csv_input(self, tmp_path, rng):
+        """A CSV input is decomposed as given: the written blocks satisfy
+        X = XZ + LX + E to the solver tolerance."""
+        X = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 10))
+        inp, out = tmp_path / "x.csv", tmp_path / "out"
+        save_matrix_csv(X, inp)
+        assert run(["decompose", "--input", inp, "--out", out]) == 0
+        blocks = {n: load_matrix_csv(out / f"{n}.csv") for n in ("Z", "L", "E", "XZ", "LX")}
+        assert blocks["Z"].shape == (10, 10) and blocks["L"].shape == (8, 8)
+        np.testing.assert_allclose(blocks["XZ"], X @ blocks["Z"], atol=1e-12)
+        np.testing.assert_allclose(blocks["LX"], blocks["L"] @ X, atol=1e-12)
+        np.testing.assert_allclose(blocks["XZ"] + blocks["LX"] + blocks["E"], X, atol=1e-6)
+        assert json.loads((out / "manifest.json").read_text())["summary"]["converged"]
+
     def test_missing_input(self, tmp_path):
         assert run(["decompose", "--out", tmp_path / "o"]) == 2
 
@@ -77,6 +92,46 @@ class TestDenoise:
         lines = (out / "denoise.csv").read_text().strip().split("\n")
         assert lines[0] == "sweep_index,level,method,zeta_rec,zeta_emb"
         assert len(lines) == 6  # 5 pct points, one method
+
+    def test_gaussian_protocol(self, tmp_path, fast_cfg):
+        cfg = json.loads(fast_cfg.read_text())
+        cfg.update({"protocol": "gaussian", "snr_list": [10.0, 20.0]})
+        fast_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run(["denoise", "--config", fast_cfg, "--out", out]) == 0
+        rows = [r.split(",") for r in (out / "denoise.csv").read_text().strip().split("\n")[1:]]
+        assert [(r[0], float(r[1]), r[2]) for r in rows] == [("0", 10.0, "aslrc"),
+                                                             ("1", 20.0, "aslrc")]
+        assert all(0.0 <= float(v) <= 1.0 for r in rows for v in r[3:])
+
+    def test_invert_protocol_on_unit_range_input(self, tmp_path, fast_cfg, rng):
+        inp = tmp_path / "x.csv"
+        save_matrix_csv(rng.uniform(0, 0.5, (12, 3)) @ rng.uniform(0, 0.6, (3, 16)), inp)
+        cfg = json.loads(fast_cfg.read_text())
+        cfg.update({"protocol": "invert", "pct_list": [10], "input": str(inp)})
+        fast_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run(["denoise", "--config", fast_cfg, "--out", out]) == 0
+        rows = (out / "denoise.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 1 and rows[0].startswith("0,10,aslrc,")
+
+    def test_invert_protocol_rejects_data_outside_unit_range(self, tmp_path, fast_cfg,
+                                                             monkeypatch, capsys):
+        """The default synthetic data span about [-2.6, 2.3]: inverting them
+        as 8-bit pixels is a range error, not a clip of the whole matrix."""
+        cfg = json.loads(fast_cfg.read_text())
+        cfg.update({"protocol": "invert", "pct_list": [10]})
+        fast_cfg.write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "_solve", lambda *a, **k: pytest.fail("solved"))
+        assert run(["denoise", "--config", fast_cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("error: RangeError: ")
+
+    def test_invert_changes_only_the_selected_entries(self, rng):
+        X = rng.uniform(0, 1, (10, 20))
+        Y = cli._corrupt(X, "invert", 10, seed=0)
+        changed = np.abs(Y - X) > 1e-12  # the scaling to [0, 255] and back moves others by ulps
+        assert changed.sum() == 20
+        np.testing.assert_allclose(Y[changed], np.minimum(256 - 255 * X[changed], 255) / 255)
 
     def test_unconverged_solves_are_reported(self, tmp_path, fast_cfg, capsys):
         cfg = json.loads(fast_cfg.read_text())
@@ -116,6 +171,19 @@ class TestClassify:
                         .split("\n")[1].split(","))
         assert mean >= 0.95
         assert std >= 0.0
+
+    def test_subspace_data(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": "subspaces", "splits": 2, "classes": 2,
+                                   "sub_dim": 2, "ambient": 12, "train_count": 8,
+                                   "test_count": 8, "tol": 1e-4, "seed": 3}))
+        out = tmp_path / "out"
+        assert run(["classify", "--config", cfg, "--out", out]) == 0
+        rows = (out / "accuracy.csv").read_text().strip().split("\n")
+        assert rows[0] == "split,accuracy" and len(rows) == 3
+        assert all(0.0 <= float(r.split(",")[1]) <= 1.0 for r in rows[1:])
+        solves = json.loads((out / "manifest.json").read_text())["solves"]
+        assert [r["method"] for r in solves] == ["aslrc", "classifier"] * 2
 
     def test_unconverged_solves_are_reported(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -192,6 +260,40 @@ class TestHarness:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max_iter": 0}))
         assert run(["bench-synth", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+    def test_every_flag_overrides_its_config_key(self):
+        """`load_config` applies a flag by its dest; one that is no config
+        key would be dropped silently."""
+        dests = {a.dest for a in cli.build_parser()._actions} - {"help", "subcommand", "config"}
+        assert dests and dests <= set(cli.DEFAULTS)
+
+    def test_solver_defaults_are_solver_config_defaults(self):
+        assert cli._solver_config(cli.DEFAULTS) == SolverConfig()
+
+    @pytest.mark.parametrize("subcommand,bad,message", [
+        ("classify", {"splits": 0}, "ValueError: splits must be at least 1, got 0"),
+        ("denoise", {"pct_list": []}, "ValueError: pct_list is empty"),
+        ("denoise", {"protocol": "gaussian", "snr_list": []}, "ValueError: snr_list is empty"),
+        ("grid", {"grid_values": []}, "ValueError: grid_values is empty"),
+        ("denoise", {"methods": []}, "ValueError: methods is empty"),
+        ("bench-synth", {"methods": "aslrc"}, "TypeError: methods must be a list, got 'aslrc'"),
+        ("decompose", {"methods": ["aslrc", "latlrr"]}, "ValueError: this subcommand runs one"),
+        ("classify", {"methods": ["latlrr", "aslrc"]}, "ValueError: this subcommand runs one"),
+        ("bench-synth", {"methods": ["aslrc", "latlrr"]}, "ValueError: this subcommand runs one"),
+        ("bench-synth", {"max_iter": 2.7}, "ValueError: max_iter must be an integer"),
+    ])
+    def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, subcommand, bad,
+                                       message):
+        if subcommand == "decompose":
+            bad = {**bad, "input": str(tmp_path / "x.csv")}
+            save_matrix_csv(np.eye(3), bad["input"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        monkeypatch.setattr(cli, "_solve", lambda *a, **k: pytest.fail("solved"))
+        out = tmp_path / "o"
+        assert run([subcommand, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not list(out.glob("*.csv"))
 
     def test_unreadable_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

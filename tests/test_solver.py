@@ -31,6 +31,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("bad", [
         {"eta": 1.0}, {"mu0": 0.0}, {"mu0": 1e11}, {"tol": 0.0},
         {"alpha": -1.0}, {"beta": np.inf}, {"lam": np.nan}, {"max_iter": 0},
+        {"max_iter": 2.7}, {"max_iter": 5.0}, {"max_iter": True},
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):

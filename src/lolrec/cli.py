@@ -8,12 +8,19 @@ and one record per solve.  Every subcommand prints one stderr warning per
 solve that stopped at max_iter unconverged, and counts them in its summary.
 `grid` sweeps ASLRC's alpha and beta, so it takes no other method.
 
+Data: `decompose` and `denoise` read `input` alike: one CSV matrix, or PGM
+images as columns on the [0, 1] pixel scale.  Without an `input`, `denoise`
+draws the synthetic subspaces of the `SubspaceSpec` keys.  A count key
+must be an integer: `seed` at least 0, `splits`, `classes` and the rest
+at least 1.
+
 Threads: a subcommand runs BLAS on one thread, so its artifacts match a
 run with OPENBLAS_NUM_THREADS=1 byte for byte; setting OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS or OMP_NUM_THREADS overrides this (see `lolrec.blas`).
-LOLREC_THREADS caps sweep parallelism (default 1): that many solves run at
-once.  CSV rows are ordered by sweep index, not completion order, so output
-bytes are reproducible.
+LOLREC_THREADS caps sweep parallelism (unset or empty means 1; any other
+value must be a positive integer): that many solves run at once.  CSV rows
+are ordered by sweep index, not completion order, so output bytes are
+reproducible.
 """
 
 import argparse
@@ -21,6 +28,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
@@ -48,33 +56,44 @@ METHODS = ("aslrc", "latlrr")
 _SOLVER_FIELDS = {"lambda" if f.name == "lam" else f.name: f
                   for f in dataclasses.fields(SolverConfig)}
 
+# Each SubspaceSpec field by its config key: the field name, except k's and d's.
+_SPEC_FIELDS = {{"k": "subspaces", "d": "ambient"}.get(f.name, f.name): f
+                for f in dataclasses.fields(SubspaceSpec) if f.name != "disjoint"}
+
 DEFAULTS = {
     **{key: f.default for key, f in _SOLVER_FIELDS.items()},
-    "seed": 0, "method": "aslrc", "methods": None,
+    **{key: f.default for key, f in _SPEC_FIELDS.items()},
+    "method": "aslrc", "methods": None,
     "input": None, "out": "out", "resize": None,
     "protocol": "pixels", "pct_list": [10, 20, 30, 40, 50], "snr_list": [10.0],
     "train_count": 30, "test_count": 30, "splits": 10, "data": "blobs",
-    "classes": 3, "dim": 20, "grid_values": None, "pct": 0.0,
-    "subspaces": 3, "sub_dim": 3, "ambient": 50, "n_per": 20,
-    "noise_sigma": 0.0, "amplitude": 4.0, "blob_sep": 3.0,
+    "classes": 3, "dim": 20, "grid_values": None, "pct": 0.0, "blob_sep": 3.0,
 }
+
+# Each config key that counts something, by its least value.
+_COUNTS = {"seed": 0, **dict.fromkeys(("subspaces", "sub_dim", "ambient", "n_per", "classes",
+                                        "dim", "train_count", "test_count", "splits"), 1)}
 
 
 def _threads():
-    try:
-        return max(1, int(os.environ.get("LOLREC_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Sweep threads from LOLREC_THREADS: unset or empty means 1."""
+    value = os.environ.get("LOLREC_THREADS") or "1"
+    if not (value.isdecimal() and int(value) >= 1):
+        raise ValueError(f"LOLREC_THREADS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _run_indexed(fn, jobs):
-    """`fn(*job)` for each argument tuple in `jobs`, possibly in parallel;
-    results come back in job order."""
+    """`fn(*job)`, which returns (rows, records), for each argument tuple in
+    `jobs`, possibly in parallel; returns all rows and records in job order."""
     n = _threads()
     if n == 1 or len(jobs) <= 1:
-        return [fn(*job) for job in jobs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, *zip(*jobs)))
+        results = [fn(*job) for job in jobs]
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
+            results = list(pool.map(fn, *zip(*jobs)))
+    return ([row for rows, _ in results for row in rows],
+            [record for _, records in results for record in records])
 
 
 def _record(method, label, t0, result, residual):
@@ -139,31 +158,31 @@ def _write_trace(path, trace):
                [(p.iteration, float(p.residual), float(p.mu), float(p.lagrangian)) for p in trace])
 
 
-def _subspace_spec(cfg):
-    return SubspaceSpec(
-        k=int(cfg["subspaces"]), sub_dim=int(cfg["sub_dim"]), d=int(cfg["ambient"]),
-        n_per=int(cfg["n_per"]), noise_sigma=cfg["noise_sigma"],
-        seed=int(cfg["seed"]), amplitude=cfg["amplitude"],
-    )
+def _subspace_spec(cfg, **fields):
+    """The SubspaceSpec of `cfg`'s keys, with `fields` set by field name."""
+    return SubspaceSpec(**{**{f.name: cfg[key] for key, f in _SPEC_FIELDS.items()}, **fields})
+
+
+def _load_input(cfg):
+    """The data at `input`, a path or a list: one CSV, or PGM images as
+    columns.  Returns (X, (height, width)) for images, (X, None) for a CSV."""
+    inputs = cfg["input"]
+    if not inputs:
+        raise ValueError("no input path given")
+    if isinstance(inputs, str):
+        inputs = [inputs]
+    if all(str(p).lower().endswith(".pgm") for p in inputs):
+        resize = tuple(cfg["resize"]) if cfg["resize"] else None
+        grids = [load_pgm(p, resize=resize) for p in inputs]
+        return (np.column_stack([image_to_matrix(g).ravel() for g in grids]),
+                grids[0].pixels.shape)
+    if len(inputs) == 1:
+        return load_matrix_csv(inputs[0]), None
+    raise ValueError("multiple inputs must all be PGM images")
 
 
 def cmd_decompose(cfg, out):
-    inputs = cfg["input"]
-    if inputs is None:
-        raise ValueError("decompose needs an input path")
-    if isinstance(inputs, str):
-        inputs = [inputs]
-    is_image = all(str(p).lower().endswith(".pgm") for p in inputs)
-    if is_image:
-        resize = tuple(cfg["resize"]) if cfg["resize"] else None
-        grids = [load_pgm(p, resize=resize) for p in inputs]
-        h, w = grids[0].pixels.shape
-        X = np.column_stack([image_to_matrix(g).ravel() for g in grids])
-    elif len(inputs) == 1:
-        X = load_matrix_csv(inputs[0])
-    else:
-        raise ValueError("multiple inputs must all be PGM images")
-
+    X, shape = _load_input(cfg)
     scfg = _solver_config(cfg)
     dec, record = _solve(_method(cfg), X, scfg, "")
 
@@ -174,11 +193,11 @@ def cmd_decompose(cfg, out):
     save_matrix_csv(dec.salient, out / "LX.csv")
     _write_trace(out / "trace.csv", dec.trace)
 
-    if is_image:
+    if shape:
         panels = []
         for j in range(X.shape[1]):
             for part in (X[:, j], dec.principal[:, j], dec.salient[:, j], dec.E_star[:, j]):
-                panels.append(matrix_to_image(part, h, w))
+                panels.append(matrix_to_image(part, *shape))
         save_pgm(tile_images(panels, cols=4), out / "panel.pgm")
     return {"converged": dec.converged, "iterations": dec.iterations}, [record]
 
@@ -187,7 +206,7 @@ def _corrupt(X, protocol, level, seed):
     if protocol == "pixels":
         return corrupt_random_pixels(X, level, seed=seed)
     if protocol == "invert":
-        return invert_pixels(X * 255.0, level, seed=seed) / 255.0
+        return invert_pixels(X, level, seed=seed)
     if protocol == "gaussian":
         return add_gaussian_noise_snr(X, level, seed=seed)
     raise ValueError(f"unknown corruption protocol {protocol!r}")
@@ -195,7 +214,7 @@ def _corrupt(X, protocol, level, seed):
 
 def cmd_denoise(cfg, out):
     if cfg["input"]:
-        X_clean = load_matrix_csv(cfg["input"])
+        X_clean, _ = _load_input(cfg)
     else:
         X_clean, _ = synth_subspaces(_subspace_spec(cfg))
     scfg = _solver_config(cfg)
@@ -204,7 +223,7 @@ def cmd_denoise(cfg, out):
     levels = _sweep(cfg, "snr_list" if protocol == "gaussian" else "pct_list")
 
     def run(idx, level):
-        X_noisy = _corrupt(X_clean, protocol, level, seed=int(cfg["seed"]) + idx)
+        X_noisy = _corrupt(X_clean, protocol, level, seed=cfg["seed"] + idx)
         rows, records = [], []
         for m in methods:
             dec, record = _solve(m, X_noisy, scfg, f"at level {level:g}")
@@ -214,38 +233,33 @@ def cmd_denoise(cfg, out):
             records.append(record)
         return rows, records
 
-    results = _run_indexed(run, list(enumerate(levels)))
-    rows = [r for batch, _ in results for r in batch]
+    rows, records = _run_indexed(run, list(enumerate(levels)))
     _write_csv(out / "denoise.csv",
                ["sweep_index", "level", "method", "zeta_rec", "zeta_emb"], rows)
-    return {"points": len(rows)}, [r for _, records in results for r in records]
+    return {"points": len(rows)}, records
 
 
 def cmd_classify(cfg, out):
-    seed = int(cfg["seed"])
-    k = int(cfg["classes"])
-    per_class = int(cfg["train_count"]) + int(cfg["test_count"])
+    k, train = cfg["classes"], cfg["train_count"]
+    per_class = train + cfg["test_count"]
     scfg = _solver_config(cfg)
     method = _method(cfg)
-    splits = int(cfg["splits"])
-    if splits < 1:
-        raise ValueError(f"splits must be at least 1, got {splits}")
+    if cfg["data"] not in ("blobs", "subspaces"):
+        raise ValueError(f"data must be 'blobs' or 'subspaces', got {cfg['data']!r}")
 
     def run(split):
-        sub = seed + split
+        sub = cfg["seed"] + split
         if cfg["data"] == "blobs":
-            X, labels = synth_blobs(k=k, d=int(cfg["dim"]), n_per=per_class,
+            X, labels = synth_blobs(k=k, d=cfg["dim"], n_per=per_class,
                                     sep=cfg["blob_sep"], seed=sub)
         else:
-            spec = _subspace_spec(cfg)
-            spec.k, spec.n_per, spec.seed = k, per_class, sub
-            X, labels = synth_subspaces(spec)
+            X, labels = synth_subspaces(_subspace_spec(cfg, k=k, n_per=per_class, seed=sub))
         rng = np.random.default_rng(sub)
         tr_idx, te_idx = [], []
         for c in range(k):
             idx = rng.permutation(np.flatnonzero(labels == c))
-            tr_idx.extend(idx[: int(cfg["train_count"])])
-            te_idx.extend(idx[int(cfg["train_count"]): per_class])
+            tr_idx.extend(idx[:train])
+            te_idx.extend(idx[train:per_class])
         Xtr, ytr = X[:, tr_idx], labels[tr_idx]
         Xte, yte = X[:, te_idx], labels[te_idx]
         label = f"on split {split}"
@@ -254,16 +268,14 @@ def cmd_classify(cfg, out):
         model = train_classifier(dec.L_star @ Xtr, one_hot(ytr, k), scfg, L_star=dec.L_star)
         fit = _record("classifier", label, t0, model, model.residual)
         pred, _ = predict_labels(model, Xte)
-        return classification_accuracy(pred, yte), [record, fit]
+        return [(split, classification_accuracy(pred, yte))], [record, fit]
 
-    results = _run_indexed(run, [(s,) for s in range(splits)])
-    accs = [a for a, _ in results]
-    rows = [(s, float(a)) for s, a in enumerate(accs)]
+    rows, records = _run_indexed(run, [(s,) for s in range(cfg["splits"])])
+    accs = [a for _, a in rows]
     _write_csv(out / "accuracy.csv", ["split", "accuracy"], rows)
     _write_csv(out / "summary.csv", ["mean_accuracy", "std_accuracy"],
                [(float(np.mean(accs)), float(np.std(accs)))])
-    return ({"mean_accuracy": float(np.mean(accs))},
-            [r for _, records in results for r in records])
+    return {"mean_accuracy": float(np.mean(accs))}, records
 
 
 def cmd_bench_synth(cfg, out):
@@ -284,7 +296,7 @@ def cmd_grid(cfg, out):
         raise ValueError("grid sweeps ASLRC's alpha and beta: method must be 'aslrc'")
     X_clean, labels = synth_subspaces(_subspace_spec(cfg))
     pct = float(cfg["pct"])
-    X = corrupt_random_pixels(X_clean, pct, seed=int(cfg["seed"])) if pct > 0 else X_clean
+    X = corrupt_random_pixels(X_clean, pct, seed=cfg["seed"]) if pct > 0 else X_clean
     values = CANDIDATE_GRID if cfg["grid_values"] is None else _sweep(cfg, "grid_values")
     points = [(a, b) for a in values for b in values]
 
@@ -292,14 +304,14 @@ def cmd_grid(cfg, out):
         scfg = _solver_config({**cfg, "alpha": a, "beta": b})
         dec, record = _solve("aslrc", X, scfg, f"at alpha {a:g}, beta {b:g}")
         zeta = reconstruction_accuracy(X_clean, dec.principal)
-        return (idx, float(a), float(b), float(zeta),
-                float(offblock_ratio(dec.Z_star, labels)), dec.iterations), record
+        return [(idx, float(a), float(b), float(zeta),
+                 float(offblock_ratio(dec.Z_star, labels)), dec.iterations)], [record]
 
-    results = _run_indexed(run, [(i, a, b) for i, (a, b) in enumerate(points)])
+    rows, records = _run_indexed(run, [(i, a, b) for i, (a, b) in enumerate(points)])
     _write_csv(out / "grid.csv",
                ["sweep_index", "alpha", "beta", "zeta_acc", "offblock_ratio", "iterations"],
-               [row for row, _ in results])
-    return {"points": len(results)}, [record for _, record in results]
+               rows)
+    return {"points": len(rows)}, records
 
 
 _COMMANDS = {
@@ -339,6 +351,12 @@ def load_config(args):
         cfg.update(file_cfg)
     # Each flag's dest is the config key it overrides.
     cfg.update((k, v) for k, v in vars(args).items() if k in DEFAULTS and v is not None)
+    for key, least in _COUNTS.items():
+        n = cfg[key]
+        if isinstance(n, bool) or not isinstance(n, numbers.Number):
+            raise TypeError(f"{key} must be an integer, got {n!r}")
+        if not isinstance(n, numbers.Integral) or n < least:
+            raise ValueError(f"{key} must be an integer of at least {least}, got {n!r}")
     return cfg
 
 
@@ -362,6 +380,7 @@ def _threads_record():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _threads()  # a bad LOLREC_THREADS exits 2 before any solve
         cfg = load_config(args)
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)

@@ -108,16 +108,16 @@ def corrupt_random_pixels(X, pct, seed=0):
     return X
 
 
-def invert_pixels(X_raw, pct, seed=0):
-    """Replace selected 8-bit values g by 256 - g, clamped to 255.
+def invert_pixels(X, pct, seed=0):
+    """Replace selected pixels x on the [0, 1] scale by min(256 - 255 x, 255) / 255.
 
-    Expects raw pixel values in [0, 255]; the clamp only fires at g = 0.
+    Expects `image_to_matrix`'s scale; the clamp only fires at x = 0.
     """
-    X = np.asarray(X_raw, dtype=float).copy()
-    if X.size and (X.min() < 0 or X.max() > 255):
-        raise RangeError("pixel values must lie in [0, 255]")
+    X = np.asarray(X, dtype=float).copy()
+    if X.size and (X.min() < 0 or X.max() > 1):
+        raise RangeError("pixel values must lie in [0, 1]")
     flat, _ = _corruption_mask(X.shape, pct, seed)
-    X.flat[flat] = np.minimum(256.0 - X.flat[flat], 255.0)
+    X.flat[flat] = np.minimum(256.0 - X.flat[flat] * 255.0, 255.0) / 255.0
     return X
 
 

@@ -7,6 +7,7 @@ from lolrec import cli
 from lolrec.cli import main
 from lolrec.matrix_io import ImageGrid, load_matrix_csv, save_matrix_csv, save_pgm
 from lolrec.solver import SolverConfig
+from lolrec.synth import SubspaceSpec
 
 
 def read(path):
@@ -129,9 +130,37 @@ class TestDenoise:
     def test_invert_changes_only_the_selected_entries(self, rng):
         X = rng.uniform(0, 1, (10, 20))
         Y = cli._corrupt(X, "invert", 10, seed=0)
-        changed = np.abs(Y - X) > 1e-12  # the scaling to [0, 255] and back moves others by ulps
+        changed = Y != X
         assert changed.sum() == 20
-        np.testing.assert_allclose(Y[changed], np.minimum(256 - 255 * X[changed], 255) / 255)
+        np.testing.assert_array_equal(Y[~changed], X[~changed])
+        np.testing.assert_array_equal(Y[changed], np.minimum(256 - X[changed] * 255, 255) / 255)
+
+    def test_input_flag_reads_a_csv(self, tmp_path, fast_cfg, rng):
+        inp, out = tmp_path / "x.csv", tmp_path / "out"
+        save_matrix_csv(rng.standard_normal((12, 3)) @ rng.standard_normal((3, 16)), inp)
+        args = ["denoise", "--config", fast_cfg, "--out", out, "--input", inp]
+        assert run(args) == 0
+        rows = (out / "denoise.csv").read_text().strip().split("\n")[1:]
+        assert [r.split(",")[:3] for r in rows] == [[str(i), str(p), "aslrc"] for i, p in
+                                                    enumerate([10, 20, 30, 40, 50])]
+
+    def test_pgm_images_under_invert(self, tmp_path, fast_cfg, rng):
+        """PGM inputs are read as `decompose` reads them: one column per
+        image, on the [0, 1] scale that `invert` corrupts."""
+        args = ["denoise", "--config", fast_cfg, "--out", tmp_path / "out"]
+        for i in range(2):
+            p = tmp_path / f"im{i}.pgm"
+            save_pgm(ImageGrid(rng.integers(0, 256, (4, 3))), p)
+            args += ["--input", p]
+        cfg = json.loads(fast_cfg.read_text())
+        cfg.update({"protocol": "invert", "pct_list": [10, 30],
+                    "methods": ["aslrc", "latlrr"]})
+        fast_cfg.write_text(json.dumps(cfg))
+        assert run(args) == 0
+        rows = (tmp_path / "out" / "denoise.csv").read_text().strip().split("\n")[1:]
+        assert [tuple(r.split(",")[:3]) for r in rows] == [
+            ("0", "10", "aslrc"), ("0", "10", "latlrr"), ("1", "30", "aslrc"),
+            ("1", "30", "latlrr")]
 
     def test_unconverged_solves_are_reported(self, tmp_path, fast_cfg, capsys):
         cfg = json.loads(fast_cfg.read_text())
@@ -270,8 +299,11 @@ class TestHarness:
     def test_solver_defaults_are_solver_config_defaults(self):
         assert cli._solver_config(cli.DEFAULTS) == SolverConfig()
 
+    def test_subspace_defaults_are_subspace_spec_defaults(self):
+        assert cli._subspace_spec(cli.DEFAULTS) == SubspaceSpec()
+
     @pytest.mark.parametrize("subcommand,bad,message", [
-        ("classify", {"splits": 0}, "ValueError: splits must be at least 1, got 0"),
+        ("classify", {"splits": 0}, "ValueError: splits must be an integer of at least 1, got 0"),
         ("denoise", {"pct_list": []}, "ValueError: pct_list is empty"),
         ("denoise", {"protocol": "gaussian", "snr_list": []}, "ValueError: snr_list is empty"),
         ("grid", {"grid_values": []}, "ValueError: grid_values is empty"),
@@ -281,6 +313,12 @@ class TestHarness:
         ("classify", {"methods": ["latlrr", "aslrc"]}, "ValueError: this subcommand runs one"),
         ("bench-synth", {"methods": ["aslrc", "latlrr"]}, "ValueError: this subcommand runs one"),
         ("bench-synth", {"max_iter": 2.7}, "ValueError: max_iter must be an integer"),
+        ("classify", {"splits": 2.5}, "ValueError: splits must be an integer of at least 1"),
+        ("classify", {"classes": 2.7}, "ValueError: classes must be an integer of at least 1"),
+        ("denoise", {"seed": 2.5}, "ValueError: seed must be an integer of at least 0"),
+        ("classify", {"test_count": 0}, "ValueError: test_count must be an integer of at least 1"),
+        ("bench-synth", {"subspaces": 2.0}, "ValueError: subspaces must be an integer of at"),
+        ("classify", {"data": "blob"}, "ValueError: data must be 'blobs' or 'subspaces'"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, subcommand, bad,
                                        message):
@@ -294,6 +332,16 @@ class TestHarness:
         assert run([subcommand, "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_sweep_threads(self, tmp_path, monkeypatch, capsys, value):
+        """A LOLREC_THREADS that is no positive integer exits 2, even for a
+        subcommand that starts no sweep threads, before any solve."""
+        monkeypatch.setenv("LOLREC_THREADS", value)
+        monkeypatch.setattr(cli, "_solve", lambda *a, **k: pytest.fail("solved"))
+        assert run(["bench-synth", "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValueError: LOLREC_THREADS must be a positive integer, got {value!r}\n")
 
     def test_unreadable_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -89,21 +89,22 @@ class TestPixelCorruption:
 
 class TestInvertPixels:
     def test_inversion_value(self):
-        X = np.full((4, 4), 100.0)
+        X = np.full((4, 4), 100 / 255)
         out = invert_pixels(X, 100, seed=0)
-        np.testing.assert_array_equal(out, 156.0)
+        np.testing.assert_allclose(out, 156 / 255, rtol=1e-15)
 
     def test_zero_clamps_to_255(self):
         out = invert_pixels(np.zeros((3, 3)), 100, seed=0)
-        np.testing.assert_array_equal(out, 255.0)
+        np.testing.assert_array_equal(out, 1.0)
 
     def test_identity_at_zero_pct(self, rng):
-        X = rng.uniform(0, 255, (5, 5))
+        X = rng.uniform(0, 1, (5, 5))
         np.testing.assert_array_equal(invert_pixels(X, 0, seed=0), X)
 
     def test_range_check(self):
+        """[0, 255] pixel values are not on the [0, 1] scale."""
         with pytest.raises(RangeError):
-            invert_pixels(np.full((2, 2), 300.0), 10)
+            invert_pixels(np.full((2, 2), 100.0), 10)
 
 
 class TestMetrics:

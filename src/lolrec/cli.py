@@ -9,10 +9,10 @@ solve that stopped at max_iter unconverged, and counts them in its summary.
 `grid` sweeps ASLRC's alpha and beta, so it takes no other method.
 
 Data: `decompose` and `denoise` read `input` alike: one CSV matrix, or PGM
-images as columns on the [0, 1] pixel scale.  Without an `input`, `denoise`
-draws the synthetic subspaces of the `SubspaceSpec` keys.  A count key
-must be an integer: `seed` at least 0, `splits`, `classes` and the rest
-at least 1.
+images as columns on the [0, 1] pixel scale; an empty `input` is an error.
+Without an `input` (absent or null), `denoise` draws the synthetic
+subspaces of the `SubspaceSpec` keys.  A count key must be an integer:
+`seed` at least 0, `splits`, `classes` and the rest at least 1.
 
 Threads: a subcommand runs BLAS on one thread, so its artifacts match a
 run with OPENBLAS_NUM_THREADS=1 byte for byte; setting OPENBLAS_NUM_THREADS,
@@ -213,7 +213,7 @@ def _corrupt(X, protocol, level, seed):
 
 
 def cmd_denoise(cfg, out):
-    if cfg["input"]:
+    if cfg["input"] is not None:
         X_clean, _ = _load_input(cfg)
     else:
         X_clean, _ = synth_subspaces(_subspace_spec(cfg))

@@ -319,10 +319,13 @@ class TestHarness:
         ("classify", {"test_count": 0}, "ValueError: test_count must be an integer of at least 1"),
         ("bench-synth", {"subspaces": 2.0}, "ValueError: subspaces must be an integer of at"),
         ("classify", {"data": "blob"}, "ValueError: data must be 'blobs' or 'subspaces'"),
+        ("decompose", {"input": ""}, "ValueError: no input path given"),
+        ("denoise", {"input": ""}, "ValueError: no input path given"),
+        ("denoise", {"input": []}, "ValueError: no input path given"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, subcommand, bad,
                                        message):
-        if subcommand == "decompose":
+        if subcommand == "decompose" and "input" not in bad:
             bad = {**bad, "input": str(tmp_path / "x.csv")}
             save_matrix_csv(np.eye(3), bad["input"])
         cfg = tmp_path / "cfg.json"

@@ -4,8 +4,11 @@ The solvers' sweeps multiply and factor 50-400-wide matrices, where
 OpenBLAS spends more on handing work to its threads than the extra cores
 save: on a 2-core machine a 50x60 `denoise` solve ran 6-7 times as long
 with OpenBLAS on both cores as with one.  `one_blas_thread()` sets every
-OpenBLAS copy loaded in the process (numpy's and scipy's wheels each ship
-one) to one thread while a solve runs, and restores the count it found.
+OpenBLAS copy loaded in the process to one thread while a solve runs, and
+restores the count it found.  numpy's wheel ships one copy and scipy's
+another.  A normal run maps only numpy's: lolrec imports scipy.linalg only
+for the SVD fallback in `prox.thin_svd`, which calls `pin_late_copies()` so
+that scipy's copy, mapped in mid-solve, is pinned too.
 
 The pin is skipped when OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
 OMP_NUM_THREADS is set: the user's setting wins.  It is a no-op where no
@@ -51,7 +54,8 @@ def _symbol(lib, name, restype, argtypes):
 
 @functools.cache
 def loaded_openblas():
-    """Each OpenBLAS copy mapped into this process, found once on first use."""
+    """Each OpenBLAS copy mapped into this process, found on first use and
+    again by `pin_late_copies`."""
     try:
         with open("/proc/self/maps") as fh:
             mapped = {ln.split(maxsplit=5)[-1].strip() for ln in fh}  # last field: the path
@@ -83,7 +87,21 @@ def solve_threads():
 
 _lock = threading.Lock()
 _active = 0    # solves inside the pin, over all threads
-_saved = []    # (setter, count found) from the first solve to enter
+_saved = []    # (setter, count found) from the first solve to enter and `pin_late_copies`
+
+
+def pin_late_copies():
+    """Scan again for OpenBLAS copies mapped since the last scan.  While a
+    pinned solve runs, each new copy is set to one thread now and gets its
+    own count back when the last solve ends."""
+    global _saved
+    with _lock:
+        known = {lib.library for lib in loaded_openblas()}
+        loaded_openblas.cache_clear()
+        if _active and solve_threads() == 1:
+            _saved += [(lib.set_threads_local, lib.set_threads_local(1))
+                       for lib in loaded_openblas()
+                       if lib.library not in known and lib.set_threads_local is not None]
 
 
 @contextmanager

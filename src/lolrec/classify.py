@@ -9,12 +9,11 @@ label = argmax of the soft vector, ties to the lowest class index.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .blas import one_blas_thread
 from .errors import DegenerateFeatures, DimensionError
 from .prox import weighted_shrink
-from .solver import SolverConfig, _data_matrix, _run_alm, _spd_factor, _zero_state
+from .solver import SolverConfig, _data_matrix, _run_alm, _spd_factor, _zero_state, cho_solve
 
 
 def validate_labels(H):
@@ -78,7 +77,7 @@ def train_classifier(features, H, cfg=None, L_star=None):
     gfac = _spd_factor(G + delta * np.eye(d))
 
     def sweep(s):
-        s.C = cho_solve(gfac, F @ (Ht - s.Ec + s.Y / s.mu), check_finite=False)
+        s.C = cho_solve(gfac, F @ (Ht - s.Ec + s.Y / s.mu))
         s.Ec = weighted_shrink(Ht - F.T @ s.C + s.Y / s.mu, 1.0 / s.mu)
 
     state = _zero_state(cfg, C=(d, c), Ec=(N, c), Y=(N, c))

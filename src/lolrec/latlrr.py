@@ -13,13 +13,12 @@ isolate the model.
 import dataclasses
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .blas import one_blas_thread
 from .prox import svt, thin_svd, weighted_shrink
 from .solver import (SolverConfig, _add_div, _data_matrix, _decomposition,
                      _lrr_residual_blocks, _penalized, _run_alm, _salient, _solve_L,
-                     _spd_factor, _zero_state)
+                     _spd_factor, _zero_state, cho_solve)
 
 
 def latlrr_lagrangian(state, X, lam, blocks=None):
@@ -58,8 +57,7 @@ def latlrr_solve(X, lam=None, cfg=None, record_lagrangian=True, callback=None):
         s.L = _solve_L(s, X, basis)
         LX = _salient(s, X)
         # (X'X + I) Z = X'(X - LX - E) + J + (X'Y1 - Y2)/mu
-        s.Z = cho_solve(zfac, X.T @ (X - LX - s.E) + s.J + (X.T @ s.Y1 - s.Y2) / s.mu,
-                        check_finite=False)
+        s.Z = cho_solve(zfac, X.T @ (X - LX - s.E) + s.J + (X.T @ s.Y1 - s.Y2) / s.mu)
         s.E = weighted_shrink(X - X @ s.Z - LX + s.Y1 / s.mu, lam / s.mu)
         s.J = svt(s.Z + s.Y2 / s.mu, 1.0 / s.mu)
         s.F = svt(_add_div(s.L, s.Y3, s.mu), 1.0 / s.mu)

@@ -9,8 +9,8 @@ L2,1 norm).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import blas
 from .errors import DimensionError, InvalidThreshold, NumericalError
 
 
@@ -49,7 +49,11 @@ def thin_svd(M):
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; retry with the slower but
-        # more reliable gesvd driver before giving up.
+        # more reliable gesvd driver before giving up.  scipy.linalg is
+        # imported only here: the import costs more than numpy's own, and it
+        # maps scipy's OpenBLAS, which a running solve's pin must then cover.
+        import scipy.linalg
+        blas.pin_late_copies()
         try:
             U, s, Vt = scipy.linalg.svd(M, full_matrices=False,
                                         lapack_driver="gesvd")

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lolrec
 from lolrec import cli
 from lolrec.cli import main
 from lolrec.matrix_io import ImageGrid, load_matrix_csv, save_matrix_csv, save_pgm
@@ -457,3 +461,25 @@ def test_solve_records_independent_of_sweep_threads(tmp_path, monkeypatch, subco
         solves = run_case(tmp_path, subcommand, max_iter=120, name=f"out{n}")["solves"]
         records.append([{k: v for k, v in r.items() if k != "wall_s"} for r in solves])
     assert records[0] == records[1]
+
+
+FRESH_CLI = """
+import json, sys
+from lolrec.cli import main
+tmp = sys.argv[1]
+codes = [main(["decompose", "--input", tmp + "/x.csv", "--out", tmp + "/dec"]),
+         main(["denoise", "--config", tmp + "/cfg.json", "--out", tmp + "/den"])]
+print(json.dumps({"codes": codes, "scipy.linalg": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_cli_runs_without_scipy_linalg(tmp_path):
+    """The CLI solves with numpy alone: importing scipy.linalg would add a few
+    tenths of a second to every start."""
+    save_matrix_csv(np.random.default_rng(0).standard_normal((6, 8)), tmp_path / "x.csv")
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {**SMALL, "methods": ["aslrc", "latlrr"], "pct_list": [10]}))
+    env = {"PYTHONPATH": str(Path(lolrec.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", FRESH_CLI, str(tmp_path)], env=env,
+                         check=True, timeout=300, capture_output=True, text=True).stdout
+    assert json.loads(out) == {"codes": [0, 0], "scipy.linalg": False}

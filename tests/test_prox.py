@@ -220,3 +220,23 @@ class TestThinSvd:
     def test_ordering(self, rng):
         s = thin_svd(rng.standard_normal((9, 9))).singular_values
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+
+    @staticmethod
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def test_falls_back_to_gesvd(self, rng, monkeypatch):
+        from scipy.linalg import svd
+        M = rng.standard_normal((7, 5))
+        U, s, Vt = svd(M, full_matrices=False, lapack_driver="gesvd")
+        monkeypatch.setattr(np.linalg, "svd", self.failing_svd)
+        f = thin_svd(M)
+        assert np.array_equal(f.U, U) and np.array_equal(f.singular_values, s)
+        assert np.array_equal(f.V, Vt.T)
+
+    def test_failed_fallback_raises(self, rng, monkeypatch):
+        import scipy.linalg
+        monkeypatch.setattr(np.linalg, "svd", self.failing_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", self.failing_svd)
+        with pytest.raises(NumericalError, match="SVD failed"):
+            thin_svd(rng.standard_normal((3, 3)))

@@ -609,8 +609,8 @@ def test_error_step_thresholds_at_a_scalar(monkeypatch, model):
 
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_every_factored_matrix_is_exactly_symmetric(monkeypatch, model):
-    """`_spd_factor` gets no symmetrized copy and `cho_factor` reads one
-    triangle, so every matrix a model factors must equal its transpose."""
+    """`_spd_factor` gets no symmetrized copy and `np.linalg.cholesky` reads
+    one triangle, so every matrix a model factors must equal its transpose."""
     real, seen = solver._spd_factor, []
 
     def spy(M):
@@ -627,13 +627,73 @@ def test_every_factored_matrix_is_exactly_symmetric(monkeypatch, model):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_spd_factor_rejects_non_finite_without_retry(monkeypatch, bad):
     """No jitter can repair a non-finite matrix, so no factorization is tried."""
-    real, calls = solver.cho_factor, []
-    monkeypatch.setattr(solver, "cho_factor", lambda *a, **k: calls.append(a) or real(*a, **k))
+    real, calls = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda *a, **k: calls.append(a) or real(*a, **k))
     M = np.eye(3)
     M[1, 2] = M[2, 1] = bad
     with pytest.raises(NumericalError, match="non-finite") as raised:
         solver._spd_factor(M)
     assert calls == [] and raised.value.iteration is None
+
+
+def random_spd(rng, n, cond):
+    """A random SPD n x n matrix with condition number `cond`."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    M = (Q * np.geomspace(1.0, 1.0 / cond, n)) @ Q.T
+    return np.triu(M) + np.triu(M, 1).T  # exactly symmetric
+
+
+def ill_conditioned_K(rng, d=400, N=40, mu=1e-6, beta=0.01):
+    """ASLRC's L-step matrix K = mu (I + BB') + 2 beta CC' (C = B - BR) at
+    the paper's mu0, with the d x r right-hand side (P B' + mu HQ)' that
+    `_solve_L` applies K^-1 to."""
+    X = rng.standard_normal((d, 12)) @ rng.standard_normal((12, N))
+    _, B = np.linalg.qr(X)
+    C = B - B @ (0.1 * rng.standard_normal((N, N)))
+    K = mu * (np.eye(B.shape[0]) + B @ B.T) + 2.0 * beta * (C @ C.T)
+    return K, rng.standard_normal((B.shape[0], d))
+
+
+def spd_cases(rng):
+    """Random SPD matrices around the 32-row split of `_lower_inverse`, then
+    the K solve's shape, well and ill conditioned."""
+    for n, cond in ((1, 1.0), (7, 1e3), (32, 1e6), (33, 1e6), (60, 1e8), (130, 1e4)):
+        yield pytest.param(random_spd(rng, n, cond), rng.standard_normal((n, 9)),
+                           id=f"random-{n}")
+    yield pytest.param(*ill_conditioned_K(rng, mu=1.0), id="K-mu1")
+    yield pytest.param(*ill_conditioned_K(rng), id="K-mu1e-6")
+
+
+class TestSpdKernel:
+    """`_spd_solve` and the fixed-factor `cho_solve` against LAPACK's
+    Cholesky solve, within cond(M) 1e-15 relative."""
+
+    @pytest.mark.parametrize("M,B", spd_cases(np.random.default_rng(3)))
+    def test_matches_lapack_cholesky_solve(self, M, B):
+        from scipy.linalg import cho_factor, cho_solve
+        reference = cho_solve(cho_factor(M), B)
+        bound = np.linalg.cond(M) * 1e-15 * np.linalg.norm(reference)
+        factor = solver._spd_factor(M)
+        for x in (solver._spd_solve(M, B), latlrr.cho_solve(factor, B),
+                  classify.cho_solve(factor, B)):
+            assert np.linalg.norm(x - reference) <= bound
+
+    def test_ill_conditioned_K_is_ill_conditioned(self):
+        K, _ = ill_conditioned_K(np.random.default_rng(3))
+        assert np.linalg.cond(K) > 1e4
+
+    def test_singular_matrix_gets_one_jitter_retry(self, monkeypatch):
+        real, calls = np.linalg.cholesky, []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda M: calls.append(M) or real(M))
+        A = np.random.default_rng(0).standard_normal((6, 2))
+        M = A @ A.T
+        X = solver._spd_solve(M, M)
+        assert len(calls) == 2
+        assert np.linalg.norm(M @ X - M) <= 1e-6 * np.linalg.norm(M)
+
+    def test_indefinite_matrix_raises(self):
+        with pytest.raises(NumericalError, match="Cholesky factorization failed"):
+            solver._spd_factor(np.diag([1.0, -1.0]))
 
 
 def test_sweep_temporaries_stay_below_a_bound():

@@ -163,3 +163,67 @@ def test_csv_bytes_independent_of_sweep_threads(tmp_path, monkeypatch, subcomman
         threads = json.loads((out / "manifest.json").read_text())["threads"]
         assert threads["LOLREC_THREADS"] == int(n)
     assert outputs[0] == outputs[1]
+
+
+# Each loaded OpenBLAS's thread count, by file name, as `counts()` reads it.
+COUNTS = """
+from lolrec import blas
+
+def counts():
+    found = {}
+    for lib in blas.loaded_openblas():
+        if lib.set_threads_local is not None:
+            found[lib.library] = lib.set_threads_local(1)
+            lib.set_threads_local(found[lib.library])
+    return found
+"""
+
+LATE_COPY = COUNTS + """
+import json, sys
+import numpy as np
+from lolrec.solver import SolverConfig, solve
+
+for lib in blas.loaded_openblas():
+    if lib.set_threads_local is not None:
+        lib.set_threads_local(3)
+before = counts()
+loaded_before = "scipy.linalg" in sys.modules
+
+def failing_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+np.linalg.svd = failing_svd  # every SVD of the solve takes the gesvd fallback
+during = []
+solve(np.random.default_rng(0).standard_normal((8, 12)), SolverConfig(mu0=1.0, max_iter=20),
+      record_lagrangian=False, callback=lambda state, residual: during.append(counts()))
+print(json.dumps({"before": before, "loaded_before": loaded_before, "during": during,
+                  "after": counts()}))
+"""
+
+LOADED_AT_START = COUNTS + """
+import json
+import scipy.linalg
+print(json.dumps(counts()))
+"""
+
+
+def test_openblas_mapped_mid_solve_is_pinned_then_restored():
+    """The SVD fallback maps scipy's OpenBLAS in mid-solve: from then on every
+    copy runs on one thread, and after the solve each has its old count, the
+    late copy the count it starts with."""
+    env = {k: v for k, v in os.environ.items() if k not in blas.BLAS_ENV_VARS}
+    env["PYTHONPATH"] = str(Path(lolrec.__file__).parents[1])
+
+    def run(script):
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             timeout=300, capture_output=True, text=True).stdout
+        return json.loads(out)
+
+    got, at_start = run(LATE_COPY), run(LOADED_AT_START)
+    late = set(at_start) - set(got["before"])
+    if not got["before"] or not late:
+        pytest.skip("scipy.linalg maps no second OpenBLAS with openblas_set_num_threads_local")
+    assert not got["loaded_before"] and set(got["before"].values()) == {3}
+    assert late <= set(got["during"][-1])
+    assert all(set(seen.values()) == {1} for seen in got["during"])
+    assert got["after"] == {**got["before"], **{lib: at_start[lib] for lib in late}}

@@ -11,8 +11,10 @@ solve that stopped at max_iter unconverged, and counts them in its summary.
 Data: `decompose` and `denoise` read `input` alike: one CSV matrix, or PGM
 images as columns on the [0, 1] pixel scale; an empty `input` is an error.
 Without an `input` (absent or null), `denoise` draws the synthetic
-subspaces of the `SubspaceSpec` keys.  A count key must be an integer:
-`seed` at least 0, `splits`, `classes` and the rest at least 1.
+subspaces of the `SubspaceSpec` keys.  `input` is a path or a list of
+paths.  A count key must be an integer: `seed` at least 0, `splits`,
+`classes` and the rest at least 1; `resize` is null or [w, h], two
+integers of at least 1.
 
 Threads: a subcommand runs BLAS on one thread, so its artifacts match a
 run with OPENBLAS_NUM_THREADS=1 byte for byte; setting OPENBLAS_NUM_THREADS,
@@ -24,7 +26,6 @@ reproducible.
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -35,7 +36,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, blas
 from .classify import one_hot, predict_labels, train_classifier
@@ -90,17 +90,25 @@ def _run_indexed(fn, jobs):
     if n == 1 or len(jobs) <= 1:
         results = [fn(*job) for job in jobs]
     else:
+        import concurrent.futures  # only a threaded sweep pays for the import
         with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
             results = list(pool.map(fn, *zip(*jobs)))
     return ([row for rows, _ in results for row in rows],
             [record for _, records in results for record in records])
 
 
-def _record(method, label, t0, result, residual):
+def _record(method, label, t0, result, residual, error_share=None):
     """Manifest record of a solve begun at perf_counter() `t0` that gave `result`."""
     return {"method": method, "label": label, "iterations": int(result.iterations),
             "converged": bool(result.converged), "final_residual": float(residual),
-            "wall_s": time.perf_counter() - t0}
+            "error_share": error_share, "wall_s": time.perf_counter() - t0}
+
+
+def _error_share(X, E):
+    """||E||_F / ||X||_F: near 1 when the error block has taken the whole data;
+    0.0 for an all-zero X."""
+    x_norm = np.linalg.norm(X)
+    return float(np.linalg.norm(E) / x_norm) if x_norm else 0.0
 
 
 def _solve(method, X, scfg, label, record_lagrangian=False):
@@ -111,7 +119,8 @@ def _solve(method, X, scfg, label, record_lagrangian=False):
         dec = solve(X, scfg, record_lagrangian=record_lagrangian)
     else:
         dec = latlrr_solve(X, scfg.lam, scfg, record_lagrangian=record_lagrangian)
-    return dec, _record(method, label, t0, dec, dec.trace[-1].residual)
+    return dec, _record(method, label, t0, dec, dec.trace[-1].residual,
+                        _error_share(X, dec.E_star))
 
 
 def _solver_config(cfg):
@@ -167,11 +176,13 @@ def _load_input(cfg):
     """The data at `input`, a path or a list: one CSV, or PGM images as
     columns.  Returns (X, (height, width)) for images, (X, None) for a CSV."""
     inputs = cfg["input"]
-    if not inputs:
+    if inputs in (None, "", []):
         raise ValueError("no input path given")
     if isinstance(inputs, str):
         inputs = [inputs]
-    if all(str(p).lower().endswith(".pgm") for p in inputs):
+    if not (isinstance(inputs, list) and all(isinstance(p, str) for p in inputs)):
+        raise TypeError(f"input must be a path or a list of paths, got {cfg['input']!r}")
+    if all(p.lower().endswith(".pgm") for p in inputs):
         resize = tuple(cfg["resize"]) if cfg["resize"] else None
         grids = [load_pgm(p, resize=resize) for p in inputs]
         return (np.column_stack([image_to_matrix(g).ravel() for g in grids]),
@@ -352,12 +363,24 @@ def load_config(args):
     # Each flag's dest is the config key it overrides.
     cfg.update((k, v) for k, v in vars(args).items() if k in DEFAULTS and v is not None)
     for key, least in _COUNTS.items():
-        n = cfg[key]
-        if isinstance(n, bool) or not isinstance(n, numbers.Number):
-            raise TypeError(f"{key} must be an integer, got {n!r}")
-        if not isinstance(n, numbers.Integral) or n < least:
-            raise ValueError(f"{key} must be an integer of at least {least}, got {n!r}")
+        _require_count(key, cfg[key], least)
+    resize = cfg["resize"]
+    if resize is not None:
+        if not isinstance(resize, list):
+            raise TypeError(f"resize must be null or [w, h], got {resize!r}")
+        if len(resize) != 2:
+            raise ValueError(f"resize must be null or [w, h], got {resize!r}")
+        for what, n in zip(("resize width", "resize height"), resize):
+            _require_count(what, n, 1)
     return cfg
+
+
+def _require_count(what, n, least):
+    """Check that `n` is an integer of at least `least`; a bool is no integer."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Number):
+        raise TypeError(f"{what} must be an integer, got {n!r}")
+    if not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {n!r}")
 
 
 def _config_hash(cfg):
@@ -373,7 +396,8 @@ def _threads_record():
         "openblas": [{"library": lib.library, "version": lib.version}
                      for lib in blas.loaded_openblas()],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        # Only the SVD fallback in prox.thin_svd imports scipy.
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
     }
 
 

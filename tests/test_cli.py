@@ -45,6 +45,7 @@ class TestDecompose:
         assert trace[0] == "iteration,residual,mu,lagrangian"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["summary"]["converged"]
+        assert manifest["solves"][0]["error_share"] == 0.0
 
     def test_image_panel(self, tmp_path, rng):
         imgs = []
@@ -72,10 +73,24 @@ class TestDecompose:
         np.testing.assert_allclose(blocks["XZ"], X @ blocks["Z"], atol=1e-12)
         np.testing.assert_allclose(blocks["LX"], blocks["L"] @ X, atol=1e-12)
         np.testing.assert_allclose(blocks["XZ"] + blocks["LX"] + blocks["E"], X, atol=1e-6)
-        assert json.loads((out / "manifest.json").read_text())["summary"]["converged"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["summary"]["converged"]
+        assert manifest["solves"][0]["error_share"] == (np.linalg.norm(blocks["E"])
+                                                        / np.linalg.norm(X))
 
     def test_missing_input(self, tmp_path):
         assert run(["decompose", "--out", tmp_path / "o"]) == 2
+
+    def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
+        """An artifact path taken by a directory is an IoError: one error
+        line, exit 2, no traceback."""
+        inp, out = tmp_path / "x.csv", tmp_path / "out"
+        save_matrix_csv(np.eye(3), inp)
+        (out / "L.csv").mkdir(parents=True)
+        assert run(["decompose", "--input", inp, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: IoError: cannot write {out / 'L.csv'}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_config_hash_ignores_output_dir(self, tmp_path, rng):
         img = tmp_path / "im.pgm"
@@ -326,12 +341,26 @@ class TestHarness:
         ("decompose", {"input": ""}, "ValueError: no input path given"),
         ("denoise", {"input": ""}, "ValueError: no input path given"),
         ("denoise", {"input": []}, "ValueError: no input path given"),
+        ("decompose", {"input": {"a": 1}},
+         "TypeError: input must be a path or a list of paths, got {'a': 1}"),
+        ("decompose", {"input": [0]}, "TypeError: input must be a path or a list of paths"),
+        ("denoise", {"input": 7}, "TypeError: input must be a path or a list of paths, got 7"),
+        ("decompose", {"resize": [2.5, 3]},
+         "ValueError: resize width must be an integer of at least 1, got 2.5"),
+        ("decompose", {"resize": [0, 3]},
+         "ValueError: resize width must be an integer of at least 1, got 0"),
+        ("decompose", {"resize": [3, -2]},
+         "ValueError: resize height must be an integer of at least 1, got -2"),
+        ("decompose", {"resize": [True, 3]}, "TypeError: resize width must be an integer"),
+        ("decompose", {"resize": [3]}, "ValueError: resize must be null or [w, h], got [3]"),
+        ("decompose", {"resize": "3x3"}, "TypeError: resize must be null or [w, h]"),
+        ("denoise", {"resize": [2.0, 2]}, "ValueError: resize width must be an integer"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, subcommand, bad,
                                        message):
         if subcommand == "decompose" and "input" not in bad:
-            bad = {**bad, "input": str(tmp_path / "x.csv")}
-            save_matrix_csv(np.eye(3), bad["input"])
+            bad = {**bad, "input": str(tmp_path / "x.pgm")}
+            save_pgm(ImageGrid(np.eye(3) * 255), bad["input"])
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(bad))
         monkeypatch.setattr(cli, "_solve", lambda *a, **k: pytest.fail("solved"))
@@ -428,8 +457,12 @@ class TestSolveRecords:
         assert [(r["method"], r["label"]) for r in solves] == SOLVE_CASES[subcommand][1]
         for r in solves:
             assert set(r) == {"method", "label", "iterations", "converged",
-                              "final_residual", "wall_s"}
+                              "final_residual", "error_share", "wall_s"}
             assert (r["iterations"], r["converged"]) == (3, False)
+            if r["method"] == "classifier":
+                assert r["error_share"] is None
+            else:
+                assert r["error_share"] >= 0.0
             assert r["final_residual"] > 0 and r["wall_s"] >= 0
         warnings = capsys.readouterr().err.strip().split("\n")
         assert len(warnings) == len(solves)
@@ -465,21 +498,40 @@ def test_solve_records_independent_of_sweep_threads(tmp_path, monkeypatch, subco
 
 FRESH_CLI = """
 import json, sys
+import numpy as np
 from lolrec.cli import main
 tmp = sys.argv[1]
 codes = [main(["decompose", "--input", tmp + "/x.csv", "--out", tmp + "/dec"]),
          main(["denoise", "--config", tmp + "/cfg.json", "--out", tmp + "/den"])]
-print(json.dumps({"codes": codes, "scipy.linalg": "scipy.linalg" in sys.modules}))
+loaded = sorted(m for m in ("scipy", "scipy.linalg", "concurrent.futures") if m in sys.modules)
+default = [json.load(open(tmp + f"/{d}/manifest.json"))["threads"]["scipy"]
+           for d in ("dec", "den")]
+
+def failing_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+np.linalg.svd = failing_svd  # every SVD of the solve takes scipy's gesvd fallback
+codes.append(main(["decompose", "--config", tmp + "/fallback.json", "--out", tmp + "/fb"]))
+import scipy
+fallback = json.load(open(tmp + "/fb/manifest.json"))["threads"]["scipy"]
+print(json.dumps({"codes": codes, "loaded": loaded, "scipy": default,
+                  "fallback": fallback == scipy.__version__}))
 """
 
 
 def test_cli_runs_without_scipy_linalg(tmp_path):
-    """The CLI solves with numpy alone: importing scipy.linalg would add a few
-    tenths of a second to every start."""
+    """A default `decompose` and `denoise` load neither scipy nor
+    concurrent.futures (each costs start-up time and memory), and record
+    `threads.scipy` as null; once the SVD fallback has imported scipy, the
+    manifest records its version."""
     save_matrix_csv(np.random.default_rng(0).standard_normal((6, 8)), tmp_path / "x.csv")
     (tmp_path / "cfg.json").write_text(json.dumps(
         {**SMALL, "methods": ["aslrc", "latlrr"], "pct_list": [10]}))
+    # mu0 = 1 keeps the SVT threshold low enough that the first sweeps run an SVD
+    (tmp_path / "fallback.json").write_text(json.dumps(
+        {"input": str(tmp_path / "x.csv"), "mu0": 1.0, "max_iter": 3}))
     env = {"PYTHONPATH": str(Path(lolrec.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", FRESH_CLI, str(tmp_path)], env=env,
                          check=True, timeout=300, capture_output=True, text=True).stdout
-    assert json.loads(out) == {"codes": [0, 0], "scipy.linalg": False}
+    assert json.loads(out) == {"codes": [0, 0, 0], "loaded": [], "scipy": [None, None],
+                               "fallback": True}

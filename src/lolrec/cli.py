@@ -23,6 +23,14 @@ LOLREC_THREADS caps sweep parallelism (unset or empty means 1; any other
 value must be a positive integer): that many solves run at once.  CSV rows
 are ordered by sweep index, not completion order, so output bytes are
 reproducible.
+
+Jobs: `denoise`, `classify` and `grid` plan every solve before the first
+one runs (corrupted data, split data and solver config alike), so a bad
+value anywhere in a sweep exits 2 before any solve.  A job is one solve,
+(method, X, SolverConfig, label); worker threads run `_solve` and nothing
+else, and the subcommand scores each result on the calling thread, in job
+order.  The manifest is written last and removed when a run starts, so a
+directory without one holds a failed or interrupted run.
 """
 
 import argparse
@@ -83,18 +91,16 @@ def _threads():
     return int(value)
 
 
-def _run_indexed(fn, jobs):
-    """`fn(*job)`, which returns (rows, records), for each argument tuple in
-    `jobs`, possibly in parallel; returns all rows and records in job order."""
+def _solve_all(jobs):
+    """`_solve(*job)` for each (method, X, scfg, label) job, possibly in
+    parallel; yields each (Decomposition, record) in job order."""
     n = _threads()
     if n == 1 or len(jobs) <= 1:
-        results = [fn(*job) for job in jobs]
+        yield from (_solve(*job) for job in jobs)
     else:
         import concurrent.futures  # only a threaded sweep pays for the import
         with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-            results = list(pool.map(fn, *zip(*jobs)))
-    return ([row for rows, _ in results for row in rows],
-            [record for _, records in results for record in records])
+            yield from pool.map(_solve, *zip(*jobs))
 
 
 def _record(method, label, t0, result, residual, error_share=None):
@@ -134,6 +140,15 @@ def _sweep(cfg, key):
         raise TypeError(f"{key} must be a list, got {values!r}")
     if not values:
         raise ValueError(f"{key} is empty: nothing to run")
+    return values
+
+
+def _numbers(cfg, key):
+    """The real numbers swept at config key `key`; a bool is no number."""
+    values = _sweep(cfg, key)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise TypeError(f"{key} entries must be numbers, got {v!r}")
     return values
 
 
@@ -231,20 +246,18 @@ def cmd_denoise(cfg, out):
     scfg = _solver_config(cfg)
     methods = _methods(cfg)
     protocol = cfg["protocol"]
-    levels = _sweep(cfg, "snr_list" if protocol == "gaussian" else "pct_list")
+    levels = _numbers(cfg, "snr_list" if protocol == "gaussian" else "pct_list")
 
-    def run(idx, level):
-        X_noisy = _corrupt(X_clean, protocol, level, seed=cfg["seed"] + idx)
-        rows, records = [], []
-        for m in methods:
-            dec, record = _solve(m, X_noisy, scfg, f"at level {level:g}")
-            zeta_rec = reconstruction_accuracy(X_clean, dec.principal)
-            zeta_emb = reconstruction_accuracy(X_clean, dec.L_star @ X_clean)
-            rows.append((idx, float(level), m, float(zeta_rec), float(zeta_emb)))
-            records.append(record)
-        return rows, records
-
-    rows, records = _run_indexed(run, list(enumerate(levels)))
+    points = [(idx, level, m) for idx, level in enumerate(levels) for m in methods]
+    noisy = [_corrupt(X_clean, protocol, level, seed=cfg["seed"] + idx)
+             for idx, level in enumerate(levels)]
+    jobs = [(m, noisy[idx], scfg, f"at level {level:g}") for idx, level, m in points]
+    rows, records = [], []
+    for (dec, record), (idx, level, m) in zip(_solve_all(jobs), points):
+        zeta_rec = reconstruction_accuracy(X_clean, dec.principal)
+        zeta_emb = reconstruction_accuracy(X_clean, dec.L_star @ X_clean)
+        rows.append((idx, float(level), m, float(zeta_rec), float(zeta_emb)))
+        records.append(record)
     _write_csv(out / "denoise.csv",
                ["sweep_index", "level", "method", "zeta_rec", "zeta_emb"], rows)
     return {"points": len(rows)}, records
@@ -258,7 +271,8 @@ def cmd_classify(cfg, out):
     if cfg["data"] not in ("blobs", "subspaces"):
         raise ValueError(f"data must be 'blobs' or 'subspaces', got {cfg['data']!r}")
 
-    def run(split):
+    splits = []
+    for split in range(cfg["splits"]):
         sub = cfg["seed"] + split
         if cfg["data"] == "blobs":
             X, labels = synth_blobs(k=k, d=cfg["dim"], n_per=per_class,
@@ -271,17 +285,16 @@ def cmd_classify(cfg, out):
             idx = rng.permutation(np.flatnonzero(labels == c))
             tr_idx.extend(idx[:train])
             te_idx.extend(idx[train:per_class])
-        Xtr, ytr = X[:, tr_idx], labels[tr_idx]
-        Xte, yte = X[:, te_idx], labels[te_idx]
-        label = f"on split {split}"
-        dec, record = _solve(method, Xtr, scfg, label)
+        splits.append((X[:, tr_idx], labels[tr_idx], X[:, te_idx], labels[te_idx]))
+    jobs = [(method, Xtr, scfg, f"on split {s}") for s, (Xtr, *_) in enumerate(splits)]
+    rows, records = [], []
+    for (dec, record), (split, (Xtr, ytr, Xte, yte)) in zip(_solve_all(jobs), enumerate(splits)):
         t0 = time.perf_counter()
         model = train_classifier(dec.L_star @ Xtr, one_hot(ytr, k), scfg, L_star=dec.L_star)
-        fit = _record("classifier", label, t0, model, model.residual)
+        fit = _record("classifier", record["label"], t0, model, model.residual)
         pred, _ = predict_labels(model, Xte)
-        return [(split, classification_accuracy(pred, yte))], [record, fit]
-
-    rows, records = _run_indexed(run, [(s,) for s in range(cfg["splits"])])
+        rows.append((split, classification_accuracy(pred, yte)))
+        records += [record, fit]
     accs = [a for _, a in rows]
     _write_csv(out / "accuracy.csv", ["split", "accuracy"], rows)
     _write_csv(out / "summary.csv", ["mean_accuracy", "std_accuracy"],
@@ -308,17 +321,17 @@ def cmd_grid(cfg, out):
     X_clean, labels = synth_subspaces(_subspace_spec(cfg))
     pct = float(cfg["pct"])
     X = corrupt_random_pixels(X_clean, pct, seed=cfg["seed"]) if pct > 0 else X_clean
-    values = CANDIDATE_GRID if cfg["grid_values"] is None else _sweep(cfg, "grid_values")
+    values = CANDIDATE_GRID if cfg["grid_values"] is None else _numbers(cfg, "grid_values")
     points = [(a, b) for a in values for b in values]
 
-    def run(idx, a, b):
-        scfg = _solver_config({**cfg, "alpha": a, "beta": b})
-        dec, record = _solve("aslrc", X, scfg, f"at alpha {a:g}, beta {b:g}")
+    jobs = [("aslrc", X, _solver_config({**cfg, "alpha": a, "beta": b}),
+             f"at alpha {a:g}, beta {b:g}") for a, b in points]
+    rows, records = [], []
+    for idx, ((dec, record), (a, b)) in enumerate(zip(_solve_all(jobs), points)):
         zeta = reconstruction_accuracy(X_clean, dec.principal)
-        return [(idx, float(a), float(b), float(zeta),
-                 float(offblock_ratio(dec.Z_star, labels)), dec.iterations)], [record]
-
-    rows, records = _run_indexed(run, [(i, a, b) for i, (a, b) in enumerate(points)])
+        rows.append((idx, float(a), float(b), float(zeta),
+                     float(offblock_ratio(dec.Z_star, labels)), dec.iterations))
+        records.append(record)
     _write_csv(out / "grid.csv",
                ["sweep_index", "alpha", "beta", "zeta_acc", "offblock_ratio", "iterations"],
                rows)
@@ -408,6 +421,8 @@ def main(argv=None):
         cfg = load_config(args)
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
+        # Written last, so a directory without one holds a failed or interrupted run.
+        (out / "manifest.json").unlink(missing_ok=True)
         t0 = time.time()
         with blas.one_blas_thread():
             summary, solves = _COMMANDS[args.subcommand](cfg, out)

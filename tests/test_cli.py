@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -83,14 +84,21 @@ class TestDecompose:
 
     def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
         """An artifact path taken by a directory is an IoError: one error
-        line, exit 2, no traceback."""
-        inp, out = tmp_path / "x.csv", tmp_path / "out"
-        save_matrix_csv(np.eye(3), inp)
-        (out / "L.csv").mkdir(parents=True)
-        assert run(["decompose", "--input", inp, "--out", out]) == 2
+        line, exit 2, no traceback, and no manifest left from an earlier
+        run into the same directory."""
+        x, y, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "out"
+        save_matrix_csv(np.eye(3), x)
+        save_matrix_csv(2 * np.eye(3), y)
+        assert run(["decompose", "--input", x, "--out", out]) == 0
+        assert (out / "manifest.json").exists()
+        (out / "L.csv").unlink()
+        (out / "L.csv").mkdir()
+        capsys.readouterr()
+        assert run(["decompose", "--input", y, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: IoError: cannot write {out / 'L.csv'}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (out / "manifest.json").exists()
 
     def test_config_hash_ignores_output_dir(self, tmp_path, rng):
         img = tmp_path / "im.pgm"
@@ -355,6 +363,14 @@ class TestHarness:
         ("decompose", {"resize": [3]}, "ValueError: resize must be null or [w, h], got [3]"),
         ("decompose", {"resize": "3x3"}, "TypeError: resize must be null or [w, h]"),
         ("denoise", {"resize": [2.0, 2]}, "ValueError: resize width must be an integer"),
+        ("grid", {"grid_values": [1.0, -1.0]}, "ValueError: beta must be finite and >= 0"),
+        ("denoise", {"pct_list": [10, 150]}, "RangeError: pct=150 outside [0, 100]"),
+        ("denoise", {"protocol": "gaussian", "snr_list": [10, "x"]},
+         "TypeError: snr_list entries must be numbers, got 'x'"),
+        ("denoise", {"pct_list": [10, "x"]}, "TypeError: pct_list entries must be numbers, got 'x'"),
+        ("denoise", {"pct_list": [True]}, "TypeError: pct_list entries must be numbers, got True"),
+        ("grid", {"grid_values": [1.0, None]},
+         "TypeError: grid_values entries must be numbers, got None"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, subcommand, bad,
                                        message):
@@ -486,7 +502,7 @@ def test_lone_solve_warning_names_no_label(tmp_path, capsys):
         "warning: decompose: aslrc did not converge in 3 iterations (final residual ")
 
 
-@pytest.mark.parametrize("subcommand", ["denoise", "grid"])
+@pytest.mark.parametrize("subcommand", ["denoise", "classify", "grid"])
 def test_solve_records_independent_of_sweep_threads(tmp_path, monkeypatch, subcommand):
     records = []
     for n in ("1", "2"):
@@ -494,6 +510,30 @@ def test_solve_records_independent_of_sweep_threads(tmp_path, monkeypatch, subco
         solves = run_case(tmp_path, subcommand, max_iter=120, name=f"out{n}")["solves"]
         records.append([{k: v for k, v in r.items() if k != "wall_s"} for r in solves])
     assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("subcommand", ["denoise", "classify", "grid"])
+def test_worker_threads_run_only_solves(tmp_path, monkeypatch, subcommand):
+    """Under sweep threads every solve runs on a worker thread, and the
+    corruption, scoring and classifier fits run on the calling thread."""
+    monkeypatch.setenv("LOLREC_THREADS", "2")
+    on_main = {}
+
+    def spy(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            is_main = threading.current_thread() is threading.main_thread()
+            on_main.setdefault(name, set()).add(is_main)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_solve", "_corrupt", "reconstruction_accuracy", "offblock_ratio",
+                 "train_classifier"):
+        monkeypatch.setattr(cli, name, spy(name))
+    run_case(tmp_path, subcommand, max_iter=20)
+    assert on_main.pop("_solve") == {False}
+    assert on_main and all(seen == {True} for seen in on_main.values())
 
 
 FRESH_CLI = """

@@ -149,6 +149,7 @@ def test_library_solve_bytes_independent_of_blas_threads(tmp_path):
 @pytest.mark.parametrize("subcommand,csv,extra", [
     ("denoise", "denoise.csv", {"methods": ["aslrc", "latlrr"], "pct_list": [10, 30, 50]}),
     ("grid", "grid.csv", {"grid_values": [0.01, 1.0]}),
+    ("classify", "accuracy.csv", {"splits": 3, "dim": 6, "train_count": 5, "test_count": 5}),
 ])
 def test_csv_bytes_independent_of_sweep_threads(tmp_path, monkeypatch, subcommand, csv, extra):
     cfg = tmp_path / "cfg.json"

@@ -87,33 +87,35 @@ def solve_threads():
 
 _lock = threading.Lock()
 _active = 0    # solves inside the pin, over all threads
-_saved = []    # (setter, count found) from the first solve to enter and `pin_late_copies`
+_saved = {}    # library -> (setter, count found), for each copy pinned since the pin began
+
+
+def _pin_unpinned_copies():
+    """With `_lock` held and a solve entering or inside the pin: set each
+    loaded OpenBLAS copy not pinned yet to one thread, saving its count."""
+    if solve_threads() == 1:
+        for lib in loaded_openblas():
+            if lib.library not in _saved and lib.set_threads_local is not None:
+                _saved[lib.library] = (lib.set_threads_local, lib.set_threads_local(1))
 
 
 def pin_late_copies():
     """Scan again for OpenBLAS copies mapped since the last scan.  While a
-    pinned solve runs, each new copy is set to one thread now and gets its
-    own count back when the last solve ends."""
-    global _saved
+    pinned solve runs, each copy not pinned yet is set to one thread now
+    and gets its own count back when the last solve ends."""
     with _lock:
-        known = {lib.library for lib in loaded_openblas()}
         loaded_openblas.cache_clear()
-        if _active and solve_threads() == 1:
-            _saved += [(lib.set_threads_local, lib.set_threads_local(1))
-                       for lib in loaded_openblas()
-                       if lib.library not in known and lib.set_threads_local is not None]
+        if _active:
+            _pin_unpinned_copies()
 
 
 @contextmanager
 def one_blas_thread():
     """Run the body with every loaded OpenBLAS on one thread (see module doc)."""
-    global _active, _saved
-    setters = ([lib.set_threads_local for lib in loaded_openblas()
-                if lib.set_threads_local is not None]
-               if solve_threads() == 1 else [])
+    global _active
     with _lock:
         if _active == 0:
-            _saved = [(set_threads, set_threads(1)) for set_threads in setters]
+            _pin_unpinned_copies()
         _active += 1
     try:
         yield
@@ -121,6 +123,6 @@ def one_blas_thread():
         with _lock:
             _active -= 1
             if _active == 0:
-                for set_threads, count in _saved:
+                for set_threads, count in _saved.values():
                     set_threads(count)
-                _saved = []
+                _saved.clear()

@@ -14,7 +14,12 @@ Without an `input` (absent or null), `denoise` draws the synthetic
 subspaces of the `SubspaceSpec` keys.  `input` is a path or a list of
 paths.  A count key must be an integer: `seed` at least 0, `splits`,
 `classes` and the rest at least 1; `resize` is null or [w, h], two
-integers of at least 1.
+integers of at least 1.  A key whose default is a float (`alpha`, `pct`,
+`blob_sep`, ...) must hold a real number, and a bool is none.
+
+Output: `lolrec.matrix_io` writes every artifact, the CSV tables and
+matrices (through its one CSV writer, `save_csv`) and the PGM panel; a
+failed write is an IoError.
 
 Threads: a subcommand runs BLAS on one thread, so its artifacts match a
 run with OPENBLAS_NUM_THREADS=1 byte for byte; setting OPENBLAS_NUM_THREADS,
@@ -49,8 +54,8 @@ from . import __version__, blas
 from .classify import one_hot, predict_labels, train_classifier
 from .errors import ToolkitError
 from .latlrr import latlrr_solve
-from .matrix_io import (image_to_matrix, load_matrix_csv, load_pgm,
-                        matrix_to_image, save_matrix_csv, save_pgm, tile_images)
+from .matrix_io import (image_to_matrix, load_matrix_csv, load_pgm, matrix_to_image,
+                        save_csv, save_matrix_csv, save_pgm, tile_images)
 from .solver import SolverConfig, solve
 from .synth import (SubspaceSpec, add_gaussian_noise_snr, classification_accuracy,
                     corrupt_random_pixels, invert_pixels, offblock_ratio,
@@ -143,11 +148,16 @@ def _sweep(cfg, key):
     return values
 
 
+def _is_number(v):
+    """Whether `v` is a real number; a bool is no number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _numbers(cfg, key):
-    """The real numbers swept at config key `key`; a bool is no number."""
+    """The real numbers swept at config key `key`."""
     values = _sweep(cfg, key)
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        if not _is_number(v):
             raise TypeError(f"{key} entries must be numbers, got {v!r}")
     return values
 
@@ -169,17 +179,9 @@ def _method(cfg):
     return methods[0]
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
-
-
 def _write_trace(path, trace):
-    _write_csv(path, ["iteration", "residual", "mu", "lagrangian"],
-               [(p.iteration, float(p.residual), float(p.mu), float(p.lagrangian)) for p in trace])
+    save_csv(path, ["iteration", "residual", "mu", "lagrangian"],
+            [(p.iteration, float(p.residual), float(p.mu), float(p.lagrangian)) for p in trace])
 
 
 def _subspace_spec(cfg, **fields):
@@ -258,8 +260,8 @@ def cmd_denoise(cfg, out):
         zeta_emb = reconstruction_accuracy(X_clean, dec.L_star @ X_clean)
         rows.append((idx, float(level), m, float(zeta_rec), float(zeta_emb)))
         records.append(record)
-    _write_csv(out / "denoise.csv",
-               ["sweep_index", "level", "method", "zeta_rec", "zeta_emb"], rows)
+    save_csv(out / "denoise.csv",
+            ["sweep_index", "level", "method", "zeta_rec", "zeta_emb"], rows)
     return {"points": len(rows)}, records
 
 
@@ -296,9 +298,9 @@ def cmd_classify(cfg, out):
         rows.append((split, classification_accuracy(pred, yte)))
         records += [record, fit]
     accs = [a for _, a in rows]
-    _write_csv(out / "accuracy.csv", ["split", "accuracy"], rows)
-    _write_csv(out / "summary.csv", ["mean_accuracy", "std_accuracy"],
-               [(float(np.mean(accs)), float(np.std(accs)))])
+    save_csv(out / "accuracy.csv", ["split", "accuracy"], rows)
+    save_csv(out / "summary.csv", ["mean_accuracy", "std_accuracy"],
+            [(float(np.mean(accs)), float(np.std(accs)))])
     return {"mean_accuracy": float(np.mean(accs))}, records
 
 
@@ -308,10 +310,10 @@ def cmd_bench_synth(cfg, out):
     method = _method(cfg)
     dec, record = _solve(method, X, scfg, "", record_lagrangian=True)
     _write_trace(out / "trace.csv", dec.trace)
-    _write_csv(out / "bench.csv",
-               ["method", "iterations", "converged", "final_residual", "offblock_ratio"],
-               [(method, dec.iterations, int(dec.converged),
-                 float(dec.trace[-1].residual), float(offblock_ratio(dec.Z_star, labels)))])
+    save_csv(out / "bench.csv",
+            ["method", "iterations", "converged", "final_residual", "offblock_ratio"],
+            [(method, dec.iterations, int(dec.converged),
+              float(dec.trace[-1].residual), float(offblock_ratio(dec.Z_star, labels)))])
     return {"iterations": dec.iterations, "converged": dec.converged}, [record]
 
 
@@ -319,7 +321,7 @@ def cmd_grid(cfg, out):
     if _methods(cfg) != ["aslrc"]:
         raise ValueError("grid sweeps ASLRC's alpha and beta: method must be 'aslrc'")
     X_clean, labels = synth_subspaces(_subspace_spec(cfg))
-    pct = float(cfg["pct"])
+    pct = cfg["pct"]
     X = corrupt_random_pixels(X_clean, pct, seed=cfg["seed"]) if pct > 0 else X_clean
     values = CANDIDATE_GRID if cfg["grid_values"] is None else _numbers(cfg, "grid_values")
     points = [(a, b) for a in values for b in values]
@@ -332,9 +334,9 @@ def cmd_grid(cfg, out):
         rows.append((idx, float(a), float(b), float(zeta),
                      float(offblock_ratio(dec.Z_star, labels)), dec.iterations))
         records.append(record)
-    _write_csv(out / "grid.csv",
-               ["sweep_index", "alpha", "beta", "zeta_acc", "offblock_ratio", "iterations"],
-               rows)
+    save_csv(out / "grid.csv",
+            ["sweep_index", "alpha", "beta", "zeta_acc", "offblock_ratio", "iterations"],
+            rows)
     return {"points": len(rows)}, records
 
 
@@ -375,6 +377,9 @@ def load_config(args):
         cfg.update(file_cfg)
     # Each flag's dest is the config key it overrides.
     cfg.update((k, v) for k, v in vars(args).items() if k in DEFAULTS and v is not None)
+    for key, default in DEFAULTS.items():
+        if isinstance(default, float) and not _is_number(cfg[key]):
+            raise TypeError(f"{key} must be a real number, got {cfg[key]!r}")
     for key, least in _COUNTS.items():
         _require_count(key, cfg[key], least)
     resize = cfg["resize"]
@@ -390,7 +395,7 @@ def load_config(args):
 
 def _require_count(what, n, least):
     """Check that `n` is an integer of at least `least`; a bool is no integer."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Number):
+    if not _is_number(n):
         raise TypeError(f"{what} must be an integer, got {n!r}")
     if not isinstance(n, numbers.Integral) or n < least:
         raise ValueError(f"{what} must be an integer of at least {least}, got {n!r}")

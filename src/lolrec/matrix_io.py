@@ -1,9 +1,14 @@
 """Matrix and grayscale-image I/O.
 
-Two persistence formats only: headerless CSV for real matrices and PGM
-(P2/P5, maxval 255) for images.  Images map to matrix columns scaled to
-[0, 1]; emission rescales back to [0, 255].
+Two persistence formats only: CSV for matrices and tables, and PGM
+(P2/P5, maxval 255) for images.  `save_csv` writes every CSV the toolkit
+emits, headerless matrices and the CLI's tables alike; a failed read or
+write raises IoError.  Images map to matrix columns scaled to [0, 1];
+emission rescales back to [0, 255].
 """
+
+import itertools
+import re
 
 import numpy as np
 
@@ -35,20 +40,29 @@ def load_matrix_csv(path):
     return np.asarray(rows, dtype=float)
 
 
-def save_matrix_csv(m, path):
-    """Write a matrix in the CSV format read by load_matrix_csv.
+def save_csv(path, header, rows):
+    """Write `rows` as comma-separated lines, below a `header` row unless it is None.
 
-    Entries are printed with 17 significant digits, enough for an exact
-    float64 round-trip.
+    Each column takes its format from its first row: a float is printed
+    with 17 significant digits, enough for an exact float64 round-trip,
+    anything else with str.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    line = ",".join(["%.17g"] * m.shape[1]) + "\n"
     try:
         with open(path, "w") as fh:
-            for row in m:
-                fh.write(line % tuple(row.tolist()))
+            if header is not None:
+                fh.write(",".join(header) + "\n")
+            line = None
+            for row in rows:
+                if line is None:
+                    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in row) + "\n"
+                fh.write(line % tuple(row))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def save_matrix_csv(m, path):
+    """Write a matrix in the headerless CSV format read by load_matrix_csv."""
+    save_csv(path, None, np.atleast_2d(np.asarray(m, dtype=float)))
 
 
 class ImageGrid:
@@ -62,20 +76,16 @@ class ImageGrid:
             raise FormatError("pixel values must lie in [0, 255]")
         self.pixels = pixels.astype(np.uint8)
 
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
-    @property
-    def width(self):
-        return self.pixels.shape[1]
-
 
 def _resize_nearest(pixels, w, h):
     src_h, src_w = pixels.shape
     rows = np.minimum((np.arange(h) * src_h) // h, src_h - 1)
     cols = np.minimum((np.arange(w) * src_w) // w, src_w - 1)
     return pixels[np.ix_(rows, cols)]
+
+
+# A PGM header token, or a '#' comment running to the end of its line.
+_HEADER_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 
 def load_pgm(path, resize=None):
@@ -92,24 +102,14 @@ def load_pgm(path, resize=None):
         raise FormatError("not a P2/P5 PGM file")
     magic = data[:2].decode()
 
-    # Header tokens (magic, width, height, maxval) with '#' comment lines.
-    pos = 2
-    tokens = []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ParseError("truncated PGM header")
-        tokens.append(data[start:pos])
+    # Width, height and maxval: the first three tokens after the magic that are not comments.
+    tokens = list(itertools.islice(
+        (t for t in _HEADER_TOKEN.finditer(data, 2) if not t[0].startswith(b"#")), 3))
+    if len(tokens) < 3:
+        raise ParseError("truncated PGM header")
+    pos = tokens[-1].end()
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = (int(t[0]) for t in tokens)
     except ValueError as exc:
         raise ParseError(f"bad PGM header token: {exc}") from exc
     if maxval != 255:
@@ -146,7 +146,7 @@ def save_pgm(g, path):
     """Write an ImageGrid as a binary (P5) PGM, maxval 255."""
     try:
         with open(path, "wb") as fh:
-            fh.write(b"P5\n%d %d\n255\n" % (g.width, g.height))
+            fh.write(b"P5\n%d %d\n255\n" % g.pixels.shape[::-1])  # width, then height
             fh.write(g.pixels.tobytes())
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

@@ -79,13 +79,20 @@ def synth_blobs(k=3, d=20, n_per=60, sep=3.0, noise=1.0, seed=0):
 def add_gaussian_noise_snr(X, snr_db, seed=0):
     """Add white Gaussian noise at the requested SNR (dB, in expectation).
 
-    Signal power is the global mean squared entry of X.
+    Signal power is the global mean squared entry of X.  An SNR that is
+    not finite, or whose noise power over- or underflows a float, is a
+    RangeError.
     """
     X = np.asarray(X, dtype=float)
     signal_power = float(np.mean(X ** 2))
     if signal_power == 0:
         raise DegenerateSignal("cannot set an SNR against an all-zero signal")
-    noise_power = signal_power / (10.0 ** (snr_db / 10.0))
+    try:
+        noise_power = signal_power / (10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # the power ratio overflows, or underflows to 0
+        noise_power = np.inf
+    if not (np.isfinite(noise_power) and np.isfinite(snr_db)):
+        raise RangeError(f"snr_db={snr_db} outside the float range")
     rng = np.random.default_rng(seed)
     return X + np.sqrt(noise_power) * rng.standard_normal(X.shape)
 

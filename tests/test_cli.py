@@ -82,24 +82,6 @@ class TestDecompose:
     def test_missing_input(self, tmp_path):
         assert run(["decompose", "--out", tmp_path / "o"]) == 2
 
-    def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
-        """An artifact path taken by a directory is an IoError: one error
-        line, exit 2, no traceback, and no manifest left from an earlier
-        run into the same directory."""
-        x, y, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "out"
-        save_matrix_csv(np.eye(3), x)
-        save_matrix_csv(2 * np.eye(3), y)
-        assert run(["decompose", "--input", x, "--out", out]) == 0
-        assert (out / "manifest.json").exists()
-        (out / "L.csv").unlink()
-        (out / "L.csv").mkdir()
-        capsys.readouterr()
-        assert run(["decompose", "--input", y, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: IoError: cannot write {out / 'L.csv'}: ")
-        assert err.count("\n") == 1 and err.endswith("\n")
-        assert not (out / "manifest.json").exists()
-
     def test_config_hash_ignores_output_dir(self, tmp_path, rng):
         img = tmp_path / "im.pgm"
         save_pgm(ImageGrid(rng.integers(0, 256, (6, 6))), img)
@@ -120,6 +102,18 @@ class TestDenoise:
         lines = (out / "denoise.csv").read_text().strip().split("\n")
         assert lines[0] == "sweep_index,level,method,zeta_rec,zeta_emb"
         assert len(lines) == 6  # 5 pct points, one method
+
+    def test_noisy_synthetic_subspaces(self, tmp_path, fast_cfg):
+        """noise_sigma > 0 adds noise to the synthetic subspaces, so the scores
+        differ from those of the same run without it."""
+        cfg = json.loads(fast_cfg.read_text())
+        tables = []
+        for sigma in (0.0, 0.5):
+            fast_cfg.write_text(json.dumps({**cfg, "noise_sigma": sigma, "pct_list": [10]}))
+            out = tmp_path / f"out{sigma}"
+            assert run(["denoise", "--config", fast_cfg, "--out", out]) == 0
+            tables.append((out / "denoise.csv").read_text().split("\n"))
+        assert tables[0][0] == tables[1][0] and tables[0][1:] != tables[1][1:]
 
     def test_gaussian_protocol(self, tmp_path, fast_cfg):
         cfg = json.loads(fast_cfg.read_text())
@@ -371,6 +365,18 @@ class TestHarness:
         ("denoise", {"pct_list": [True]}, "TypeError: pct_list entries must be numbers, got True"),
         ("grid", {"grid_values": [1.0, None]},
          "TypeError: grid_values entries must be numbers, got None"),
+        ("denoise", {"protocol": "gaussian", "snr_list": [10, 4000]},
+         "RangeError: snr_db=4000 outside the float range"),
+        ("denoise", {"protocol": "gaussian", "snr_list": [10, float("nan")]},
+         "RangeError: snr_db=nan outside the float range"),
+        ("bench-synth", {"alpha": True}, "TypeError: alpha must be a real number, got True"),
+        ("grid", {"pct": True}, "TypeError: pct must be a real number, got True"),
+        ("grid", {"pct": "10"}, "TypeError: pct must be a real number, got '10'"),
+        ("classify", {"blob_sep": True}, "TypeError: blob_sep must be a real number, got True"),
+        ("denoise", {"method": "nope"}, "ValueError: unknown method 'nope'"),
+        ("denoise", {"protocol": "nope"}, "ValueError: unknown corruption protocol 'nope'"),
+        ("decompose", {"input": ["a.csv", "b.csv"]},
+         "ValueError: multiple inputs must all be PGM images"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, subcommand, bad,
                                        message):
@@ -384,6 +390,26 @@ class TestHarness:
         assert run([subcommand, "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("subcommand,artifact", [("decompose", "L.csv"),
+                                                     ("denoise", "denoise.csv")])
+    def test_unwritable_output_is_an_io_error(self, tmp_path, capsys, subcommand, artifact):
+        """An artifact path taken by a directory is an IoError: one error
+        line, exit 2, no traceback, and no manifest left from an earlier
+        run into the same directory."""
+        x, y, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "out"
+        save_matrix_csv(np.eye(3), x)
+        save_matrix_csv(2 * np.eye(3), y)
+        assert run([subcommand, "--input", x, "--out", out]) == 0
+        assert (out / "manifest.json").exists()
+        (out / artifact).unlink()
+        (out / artifact).mkdir()
+        capsys.readouterr()
+        assert run([subcommand, "--input", y, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: IoError: cannot write {out / artifact}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_sweep_threads(self, tmp_path, monkeypatch, capsys, value):

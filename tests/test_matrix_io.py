@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reference import per_entry_csv
-from lolrec.errors import EmptyInput, FormatError, ParseError
+from lolrec.errors import EmptyInput, FormatError, IoError, ParseError
 from lolrec.matrix_io import (ImageGrid, image_to_matrix, load_matrix_csv, load_pgm,
                               matrix_to_image, save_matrix_csv, save_pgm, tile_images)
 
@@ -66,6 +66,33 @@ class TestPgm:
         g = load_pgm(p)
         np.testing.assert_array_equal(g.pixels.ravel(), [0, 255, 128, 64])
 
+    @pytest.mark.parametrize("text", [
+        "P2\n# a comment line\n2 2 255\n0 255 128 64\n",
+        "P2# a comment right after the magic\n2 2 255\n0 255 128 64\n",
+        "P2 2 # a comment between width and height\n 2 255 0 255 128 64",
+    ], ids=["comment-line", "comment-after-magic", "comment-between-dimensions"])
+    def test_header_comments_are_skipped(self, tmp_path, text):
+        p = tmp_path / "a.pgm"
+        p.write_text(text)
+        np.testing.assert_array_equal(load_pgm(p).pixels, [[0, 255], [128, 64]])
+
+    @pytest.mark.parametrize("data,error", [
+        (b"P2 2 x 255 0 0 0 0", ParseError),
+        (b"P2 2 0 255", FormatError),
+        (b"P5 -3 2 255 \x00", FormatError),
+        (b"P2 2 2", ParseError),
+        (b"P2 2 # 2 255", ParseError),
+        (b"P2 2 2 255 0 1 x 3", ParseError),
+        (b"P2 2 2 255 0 1 2", ParseError),
+        (b"P2 2 2 255 0 1 2 256", ParseError),
+    ], ids=["non-integer-token", "zero-height", "negative-width", "truncated-header",
+            "header-ends-in-comment", "p2-bad-token", "p2-short-body", "p2-pixel-above-255"])
+    def test_malformed_header_or_p2_body(self, tmp_path, data, error):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(data)
+        with pytest.raises(error):
+            load_pgm(p)
+
     def test_p5_round_trip(self, tmp_path, rng):
         g = ImageGrid(rng.integers(0, 256, (13, 17)))
         p = tmp_path / "a.pgm"
@@ -121,3 +148,9 @@ class TestPgm:
         assert canvas.pixels.shape == (8, 8)
         assert np.all(canvas.pixels[3:5, :] == 255)
         assert np.all(canvas.pixels[:, 3:5] == 255)
+
+
+@pytest.mark.parametrize("load", [load_matrix_csv, load_pgm])
+def test_missing_path_is_an_io_error(tmp_path, load):
+    with pytest.raises(IoError, match="cannot read"):
+        load(tmp_path / "missing")

@@ -240,3 +240,9 @@ class TestThinSvd:
         monkeypatch.setattr(scipy.linalg, "svd", self.failing_svd)
         with pytest.raises(NumericalError, match="SVD failed"):
             thin_svd(rng.standard_normal((3, 3)))
+
+
+@pytest.mark.parametrize("prox", [svt, column_l21_shrink])
+def test_negative_threshold_is_invalid(prox):
+    with pytest.raises(InvalidThreshold):
+        prox(np.ones((2, 3)), -0.1)

@@ -61,6 +61,13 @@ class TestGaussianSnr:
         with pytest.raises(DegenerateSignal):
             add_gaussian_noise_snr(np.zeros((3, 3)), 10.0)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3200.0, np.nan, np.inf, -np.inf])
+    def test_snr_without_a_finite_noise_power(self, snr_db):
+        """The power ratio overflows, underflows to 0, or makes the noise power
+        infinite; or the SNR itself is not finite."""
+        with pytest.raises(RangeError):
+            add_gaussian_noise_snr(np.ones((3, 3)), snr_db)
+
 
 class TestPixelCorruption:
     def test_identity_at_zero(self, rng):

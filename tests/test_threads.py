@@ -1,6 +1,7 @@
 """The one-BLAS-thread pin around every inexact-ALM solve, and the CLI's
 thread-independent output bytes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -105,6 +106,60 @@ def test_concurrent_solves_keep_the_pin_until_the_last_one_ends(three_threads):
     assert len(seen) == n * (CFG.max_iter + 1)
     assert all(c == [1] * len(setters()) for c in seen)
     assert counts() == [3] * len(setters())
+
+
+class HeldLock:
+    """A lock that holds thread `held` at its first acquire until `go` is set."""
+
+    def __init__(self):
+        self.lock, self.waiting, self.go = threading.Lock(), threading.Event(), threading.Event()
+        self.held = None
+
+    def __enter__(self):
+        if threading.current_thread() is self.held and not self.go.is_set():
+            self.waiting.set()
+            assert self.go.wait(timeout=60)
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_copy_mapped_by_an_ended_solve_is_pinned_in_the_next(monkeypatch):
+    """Solve A maps a second OpenBLAS copy mid-solve and ends while solve B
+    waits for the lock: B pins that copy too, and both get their counts back."""
+    for var in blas.BLAS_ENV_VARS:
+        monkeypatch.delenv(var, raising=False)
+    count, mapped = {"numpy": 4, "scipy": 4}, ["numpy"]
+
+    def setter(name):
+        def set_threads(n):
+            old, count[name] = count[name], n
+            return old
+        return set_threads
+
+    monkeypatch.setattr(blas, "loaded_openblas", functools.cache(
+        lambda: tuple(blas.OpenBlas(name, None, setter(name)) for name in mapped)))
+    lock = HeldLock()
+    monkeypatch.setattr(blas, "_lock", lock)
+    seen = []
+
+    def solve_b():
+        with blas.one_blas_thread():
+            blas.pin_late_copies()
+            seen.append(dict(count))
+
+    lock.held = threading.Thread(target=solve_b)
+    lock.held.start()
+    assert lock.waiting.wait(timeout=60)
+    with blas.one_blas_thread():  # solve A
+        mapped.append("scipy")
+        blas.pin_late_copies()
+    lock.go.set()
+    lock.held.join(timeout=60)
+    assert not lock.held.is_alive()
+    assert seen == [{"numpy": 1, "scipy": 1}]
+    assert count == {"numpy": 4, "scipy": 4}
 
 
 def test_without_openblas_same_result(monkeypatch):

@@ -11,11 +11,19 @@ solve that stopped at max_iter unconverged, and counts them in its summary.
 Data: `decompose` and `denoise` read `input` alike: one CSV matrix, or PGM
 images as columns on the [0, 1] pixel scale; an empty `input` is an error.
 Without an `input` (absent or null), `denoise` draws the synthetic
-subspaces of the `SubspaceSpec` keys.  `input` is a path or a list of
-paths.  A count key must be an integer: `seed` at least 0, `splits`,
-`classes` and the rest at least 1; `resize` is null or [w, h], two
-integers of at least 1.  A key whose default is a float (`alpha`, `pct`,
-`blob_sep`, ...) must hold a real number, and a bool is none.
+subspaces of the `SubspaceSpec` keys; PGM images of two sizes are an error.
+
+Config: `load_config` checks every key but `out`, for every subcommand and
+before any output is written, by the key's entry in `DEFAULTS`.  A float
+default means a real number (a bool is none); an int default a count, an
+integer of at least 1 (`seed`: 0); a list default, or a non-null `methods`
+or `grid_values`, a non-empty list of reals (of method names for
+`methods`).  `method`, `protocol` and `data` take one of their `_CHOICES`;
+`input` is null, a path or a list of paths; `resize` is null or [w, h], two
+integers of at least 1.  The typed flags (`--seed`, `--alpha`, `--beta`,
+`--lambda`, `--tol`, `--max-iter`) take the type of their key's default.  A
+subcommand checks only what depends on it or on its data: how many methods
+it runs, its input, and each sweep level.
 
 Output: `lolrec.matrix_io` writes every artifact, the CSV tables and
 matrices (through its one CSV writer, `save_csv`) and the PGM panel; a
@@ -52,7 +60,7 @@ import numpy as np
 
 from . import __version__, blas
 from .classify import one_hot, predict_labels, train_classifier
-from .errors import ToolkitError
+from .errors import FormatError, ToolkitError
 from .latlrr import latlrr_solve
 from .matrix_io import (image_to_matrix, load_matrix_csv, load_pgm, matrix_to_image,
                         save_csv, save_matrix_csv, save_pgm, tile_images)
@@ -83,9 +91,9 @@ DEFAULTS = {
     "classes": 3, "dim": 20, "grid_values": None, "pct": 0.0, "blob_sep": 3.0,
 }
 
-# Each config key that counts something, by its least value.
-_COUNTS = {"seed": 0, **dict.fromkeys(("subspaces", "sub_dim", "ambient", "n_per", "classes",
-                                        "dim", "train_count", "test_count", "splits"), 1)}
+# The values each choice key may take; each entry of `methods` is checked as a `method`.
+_CHOICES = {"method": METHODS, "protocol": ("pixels", "invert", "gaussian"),
+            "data": ("blobs", "subspaces")}
 
 
 def _threads():
@@ -138,37 +146,14 @@ def _solver_config(cfg):
     return SolverConfig(**{f.name: cfg[key] for key, f in _SOLVER_FIELDS.items()})
 
 
-def _sweep(cfg, key):
-    """The values swept at config key `key`, which must be a non-empty list."""
-    values = cfg[key]
-    if not isinstance(values, list):
-        raise TypeError(f"{key} must be a list, got {values!r}")
-    if not values:
-        raise ValueError(f"{key} is empty: nothing to run")
-    return values
-
-
 def _is_number(v):
     """Whether `v` is a real number; a bool is no number."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def _numbers(cfg, key):
-    """The real numbers swept at config key `key`."""
-    values = _sweep(cfg, key)
-    for v in values:
-        if not _is_number(v):
-            raise TypeError(f"{key} entries must be numbers, got {v!r}")
-    return values
-
-
 def _methods(cfg):
     """The methods a subcommand runs: `methods`, or when that is null, `method`."""
-    methods = [cfg["method"]] if cfg["methods"] is None else _sweep(cfg, "methods")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
-    return methods
+    return [cfg["method"]] if cfg["methods"] is None else cfg["methods"]
 
 
 def _method(cfg):
@@ -197,13 +182,15 @@ def _load_input(cfg):
         raise ValueError("no input path given")
     if isinstance(inputs, str):
         inputs = [inputs]
-    if not (isinstance(inputs, list) and all(isinstance(p, str) for p in inputs)):
-        raise TypeError(f"input must be a path or a list of paths, got {cfg['input']!r}")
     if all(p.lower().endswith(".pgm") for p in inputs):
         resize = tuple(cfg["resize"]) if cfg["resize"] else None
         grids = [load_pgm(p, resize=resize) for p in inputs]
-        return (np.column_stack([image_to_matrix(g).ravel() for g in grids]),
-                grids[0].pixels.shape)
+        shape = grids[0].pixels.shape
+        for p, g in zip(inputs, grids):
+            if g.pixels.shape != shape:
+                raise FormatError(f"image {p} has shape {g.pixels.shape}, but {inputs[0]} "
+                                  f"has shape {shape}: input images must share one shape")
+        return np.column_stack([image_to_matrix(g).ravel() for g in grids]), shape
     if len(inputs) == 1:
         return load_matrix_csv(inputs[0]), None
     raise ValueError("multiple inputs must all be PGM images")
@@ -235,9 +222,7 @@ def _corrupt(X, protocol, level, seed):
         return corrupt_random_pixels(X, level, seed=seed)
     if protocol == "invert":
         return invert_pixels(X, level, seed=seed)
-    if protocol == "gaussian":
-        return add_gaussian_noise_snr(X, level, seed=seed)
-    raise ValueError(f"unknown corruption protocol {protocol!r}")
+    return add_gaussian_noise_snr(X, level, seed=seed)
 
 
 def cmd_denoise(cfg, out):
@@ -248,7 +233,7 @@ def cmd_denoise(cfg, out):
     scfg = _solver_config(cfg)
     methods = _methods(cfg)
     protocol = cfg["protocol"]
-    levels = _numbers(cfg, "snr_list" if protocol == "gaussian" else "pct_list")
+    levels = cfg["snr_list" if protocol == "gaussian" else "pct_list"]
 
     points = [(idx, level, m) for idx, level in enumerate(levels) for m in methods]
     noisy = [_corrupt(X_clean, protocol, level, seed=cfg["seed"] + idx)
@@ -270,8 +255,6 @@ def cmd_classify(cfg, out):
     per_class = train + cfg["test_count"]
     scfg = _solver_config(cfg)
     method = _method(cfg)
-    if cfg["data"] not in ("blobs", "subspaces"):
-        raise ValueError(f"data must be 'blobs' or 'subspaces', got {cfg['data']!r}")
 
     splits = []
     for split in range(cfg["splits"]):
@@ -321,9 +304,8 @@ def cmd_grid(cfg, out):
     if _methods(cfg) != ["aslrc"]:
         raise ValueError("grid sweeps ASLRC's alpha and beta: method must be 'aslrc'")
     X_clean, labels = synth_subspaces(_subspace_spec(cfg))
-    pct = cfg["pct"]
-    X = corrupt_random_pixels(X_clean, pct, seed=cfg["seed"]) if pct > 0 else X_clean
-    values = CANDIDATE_GRID if cfg["grid_values"] is None else _numbers(cfg, "grid_values")
+    X = corrupt_random_pixels(X_clean, cfg["pct"], seed=cfg["seed"])
+    values = CANDIDATE_GRID if cfg["grid_values"] is None else cfg["grid_values"]
     points = [(a, b) for a in values for b in values]
 
     jobs = [("aslrc", X, _solver_config({**cfg, "alpha": a, "beta": b}),
@@ -356,13 +338,9 @@ def build_parser():
     parser.add_argument("--config", type=str, help="JSON config file (flat keys)")
     parser.add_argument("--out", type=str)
     parser.add_argument("--input", type=str, action="append")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--method", choices=METHODS)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--lambda", dest="lambda", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--max-iter", dest="max_iter", type=int)
+    for key in ("seed", "alpha", "beta", "lambda", "tol", "max_iter"):
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=type(DEFAULTS[key]))
     return parser
 
 
@@ -377,20 +355,46 @@ def load_config(args):
         cfg.update(file_cfg)
     # Each flag's dest is the config key it overrides.
     cfg.update((k, v) for k, v in vars(args).items() if k in DEFAULTS and v is not None)
+    # Each key is checked by its default; `out` may be any path.
     for key, default in DEFAULTS.items():
-        if isinstance(default, float) and not _is_number(cfg[key]):
-            raise TypeError(f"{key} must be a real number, got {cfg[key]!r}")
-    for key, least in _COUNTS.items():
-        _require_count(key, cfg[key], least)
-    resize = cfg["resize"]
-    if resize is not None:
-        if not isinstance(resize, list):
-            raise TypeError(f"resize must be null or [w, h], got {resize!r}")
-        if len(resize) != 2:
-            raise ValueError(f"resize must be null or [w, h], got {resize!r}")
-        for what, n in zip(("resize width", "resize height"), resize):
-            _require_count(what, n, 1)
+        value = cfg[key]
+        if key in _CHOICES:
+            _require_choice(key, value)
+        elif isinstance(default, float):
+            if not _is_number(value):
+                raise TypeError(f"{key} must be a real number, got {value!r}")
+        elif isinstance(default, int):
+            _require_count(key, value, 0 if key == "seed" else 1)
+        elif key == "input":
+            if not (value is None or isinstance(value, str) or isinstance(value, list)
+                    and all(isinstance(p, str) for p in value)):
+                raise TypeError(f"input must be a path or a list of paths, got {value!r}")
+        elif key == "resize" and value is not None:
+            if not isinstance(value, list):
+                raise TypeError(f"resize must be null or [w, h], got {value!r}")
+            if len(value) != 2:
+                raise ValueError(f"resize must be null or [w, h], got {value!r}")
+            for what, n in zip(("resize width", "resize height"), value):
+                _require_count(what, n, 1)
+        elif isinstance(default, list) or (key in ("methods", "grid_values")
+                                           and value is not None):
+            if not isinstance(value, list):
+                raise TypeError(f"{key} must be a list, got {value!r}")
+            if not value:
+                raise ValueError(f"{key} is empty: nothing to run")
+            for v in value:
+                if key == "methods":
+                    _require_choice("method", v)
+                elif not _is_number(v):
+                    raise TypeError(f"{key} entries must be numbers, got {v!r}")
     return cfg
+
+
+def _require_choice(key, value):
+    """Check that `value` is one of the values that choice key `key` may take."""
+    if value not in _CHOICES[key]:
+        raise ValueError(f"unknown {key} {value!r}: must be one of "
+                         + ", ".join(map(repr, _CHOICES[key])))
 
 
 def _require_count(what, n, least):

@@ -22,21 +22,22 @@ def load_matrix_csv(path):
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.split("\n") if ln.strip() != ""]
-    if not lines:
-        raise EmptyInput(f"{path} contains no data")
     rows = []
     width = None
-    for i, ln in enumerate(lines):
+    for i, ln in enumerate(text.split("\n"), 1):  # blank lines are skipped, but counted
+        if ln.strip() == "":
+            continue
         tokens = ln.split(",")
         if width is None:
             width = len(tokens)
         elif len(tokens) != width:
-            raise FormatError(f"line {i + 1}: expected {width} fields, got {len(tokens)}")
+            raise FormatError(f"line {i}: expected {width} fields, got {len(tokens)}")
         try:
             rows.append([float(t) for t in tokens])
         except ValueError as exc:
-            raise ParseError(f"line {i + 1}: non-numeric token ({exc})") from exc
+            raise ParseError(f"line {i}: non-numeric token ({exc})") from exc
+    if not rows:
+        raise EmptyInput(f"{path} contains no data")
     return np.asarray(rows, dtype=float)
 
 

@@ -38,6 +38,8 @@ def synth_subspaces(spec):
         raise InvalidSpec("need k, sub_dim, d >= 1 and n_per >= sub_dim")
     if spec.disjoint and spec.k * spec.sub_dim > spec.d:
         raise InvalidSpec("disjoint subspaces need k * sub_dim <= d")
+    if not (0 <= spec.noise_sigma < np.inf and np.isfinite(spec.amplitude)):
+        raise InvalidSpec("need a finite noise_sigma >= 0 and a finite amplitude")
     rng = np.random.default_rng(spec.seed)
 
     bases = []
@@ -69,6 +71,8 @@ def synth_blobs(k=3, d=20, n_per=60, sep=3.0, noise=1.0, seed=0):
     """Gaussian class blobs for classifier experiments; returns (X, labels)."""
     if k < 1 or d < 1 or n_per < 1:
         raise InvalidSpec("need k, d, n_per >= 1")
+    if not np.isfinite(sep):
+        raise InvalidSpec(f"sep={sep} is not finite")
     rng = np.random.default_rng(seed)
     means = sep * rng.standard_normal((d, k))
     cols = [means[:, [c]] + noise * rng.standard_normal((d, n_per)) for c in range(k)]

@@ -35,6 +35,10 @@ class TestLabels:
         with pytest.raises(DimensionError):
             validate_labels(np.array([[2.0], [0.0]]))
 
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(DimensionError, match="2-D"):
+            validate_labels(np.array([1.0, 0.0]))
+
 
 class TestTrain:
     def test_exactly_solvable(self):
@@ -62,6 +66,14 @@ class TestTrain:
     def test_degenerate_features(self):
         with pytest.raises(DegenerateFeatures):
             train_classifier(np.zeros((4, 6)), one_hot([0, 1, 2, 0, 1, 2]))
+
+    @pytest.mark.parametrize("features,H,message", [
+        (np.eye(3, 4), np.eye(3), "feature columns"),
+        (np.eye(3, 2), one_hot([0, 1], 3), "at least as many samples as classes")],
+        ids=["count-mismatch", "fewer-samples-than-classes"])
+    def test_label_counts(self, features, H, message):
+        with pytest.raises(DimensionError, match=message):
+            train_classifier(features, H)
 
     def test_no_feature_rows(self):
         with pytest.raises(DimensionError):

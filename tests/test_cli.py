@@ -82,6 +82,19 @@ class TestDecompose:
     def test_missing_input(self, tmp_path):
         assert run(["decompose", "--out", tmp_path / "o"]) == 2
 
+    def test_images_of_different_sizes(self, tmp_path, monkeypatch, capsys):
+        """PGM inputs of two sizes are a FormatError that names the odd file
+        and both shapes, raised before any solve."""
+        first, second = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        save_pgm(ImageGrid(np.zeros((4, 4))), first)
+        save_pgm(ImageGrid(np.zeros((5, 4))), second)
+        monkeypatch.setattr(cli, "_solve", lambda *a, **k: pytest.fail("solved"))
+        assert run(["decompose", "--input", first, "--input", second,
+                    "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: FormatError: image {second} has shape (5, 4), but {first} has shape (4, 4): "
+            "input images must share one shape\n")
+
     def test_config_hash_ignores_output_dir(self, tmp_path, rng):
         img = tmp_path / "im.pgm"
         save_pgm(ImageGrid(rng.integers(0, 256, (6, 6))), img)
@@ -339,7 +352,8 @@ class TestHarness:
         ("denoise", {"seed": 2.5}, "ValueError: seed must be an integer of at least 0"),
         ("classify", {"test_count": 0}, "ValueError: test_count must be an integer of at least 1"),
         ("bench-synth", {"subspaces": 2.0}, "ValueError: subspaces must be an integer of at"),
-        ("classify", {"data": "blob"}, "ValueError: data must be 'blobs' or 'subspaces'"),
+        ("classify", {"data": "blob"},
+         "ValueError: unknown data 'blob': must be one of 'blobs', 'subspaces'"),
         ("decompose", {"input": ""}, "ValueError: no input path given"),
         ("denoise", {"input": ""}, "ValueError: no input path given"),
         ("denoise", {"input": []}, "ValueError: no input path given"),
@@ -374,9 +388,16 @@ class TestHarness:
         ("grid", {"pct": "10"}, "TypeError: pct must be a real number, got '10'"),
         ("classify", {"blob_sep": True}, "TypeError: blob_sep must be a real number, got True"),
         ("denoise", {"method": "nope"}, "ValueError: unknown method 'nope'"),
-        ("denoise", {"protocol": "nope"}, "ValueError: unknown corruption protocol 'nope'"),
+        ("denoise", {"protocol": "nope"},
+         "ValueError: unknown protocol 'nope': must be one of 'pixels', 'invert', 'gaussian'"),
         ("decompose", {"input": ["a.csv", "b.csv"]},
          "ValueError: multiple inputs must all be PGM images"),
+        ("grid", {"pct": float("nan")}, "RangeError: pct=nan outside [0, 100]"),
+        ("grid", {"pct": -5}, "RangeError: pct=-5 outside [0, 100]"),
+        ("denoise", {"noise_sigma": -1}, "InvalidSpec: need a finite noise_sigma >= 0"),
+        ("denoise", {"noise_sigma": float("nan")}, "InvalidSpec: need a finite noise_sigma >= 0"),
+        ("bench-synth", {"amplitude": float("nan")}, "InvalidSpec: need a finite noise_sigma"),
+        ("classify", {"blob_sep": float("nan")}, "InvalidSpec: sep=nan is not finite"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, subcommand, bad,
                                        message):
@@ -390,6 +411,19 @@ class TestHarness:
         assert run([subcommand, "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("key", sorted(cli.DEFAULTS.keys() - {"out"}))
+    def test_every_key_is_checked(self, tmp_path, monkeypatch, capsys, key):
+        """Every subcommand checks every config key but `out`, also the keys it
+        never reads, before any solve and before the output directory is made."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: {"bad": 1}}))
+        monkeypatch.setattr(cli, "_solve", lambda *a, **k: pytest.fail("solved"))
+        out = tmp_path / "o"
+        assert run(["bench-synth", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand,artifact", [("decompose", "L.csv"),
                                                      ("denoise", "denoise.csv")])

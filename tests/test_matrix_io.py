@@ -41,16 +41,19 @@ class TestCsv:
         assert p.read_bytes() == per_entry_csv(M).encode()
 
     def test_ragged_rows(self, tmp_path):
+        """The error names the line of the file, blank lines counted."""
         p = tmp_path / "m.csv"
-        p.write_text("1,2\n3\n")
-        with pytest.raises(FormatError):
-            load_matrix_csv(p)
+        for text, line in (("1,2\n3\n", 2), ("1,2\n\n3\n", 3)):
+            p.write_text(text)
+            with pytest.raises(FormatError, match=f"^line {line}: "):
+                load_matrix_csv(p)
 
     def test_non_numeric(self, tmp_path):
         p = tmp_path / "m.csv"
-        p.write_text("1,x\n")
-        with pytest.raises(ParseError):
-            load_matrix_csv(p)
+        for text, line in (("1,x\n", 1), ("1,2\n\n\n3,x\n", 4)):
+            p.write_text(text)
+            with pytest.raises(ParseError, match=f"^line {line}: "):
+                load_matrix_csv(p)
 
     def test_empty(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -141,6 +144,22 @@ class TestPgm:
         px = np.arange(256).reshape(16, 16)
         back = matrix_to_image(image_to_matrix(ImageGrid(px)), 16, 16)
         np.testing.assert_array_equal(back.pixels, px)
+
+    @pytest.mark.parametrize("pixels", [np.zeros(4), np.zeros((2, 2, 2)), [[0, -1]], [[256]]],
+                             ids=["1-d", "3-d", "below-0", "above-255"])
+    def test_image_grid_rejects(self, pixels):
+        with pytest.raises(FormatError):
+            ImageGrid(pixels)
+
+    def test_save_to_a_directory_is_an_io_error(self, tmp_path):
+        with pytest.raises(IoError, match="cannot write"):
+            save_pgm(ImageGrid(np.zeros((2, 2))), tmp_path)
+
+    @pytest.mark.parametrize("shapes,error", [([], EmptyInput), ([(3, 3), (3, 4)], FormatError)],
+                             ids=["no-images", "mixed-shapes"])
+    def test_tiling_rejects(self, shapes, error):
+        with pytest.raises(error):
+            tile_images([ImageGrid(np.zeros(s)) for s in shapes], cols=2)
 
     def test_tiling_separators(self):
         tiles = [ImageGrid(np.zeros((3, 3))) for _ in range(4)]

@@ -6,7 +6,7 @@ from lolrec.errors import (DegenerateSignal, DimensionError, InvalidSpec,
 from lolrec.synth import (SubspaceSpec, add_gaussian_noise_snr,
                           classification_accuracy, corrupt_random_pixels,
                           invert_pixels, offblock_ratio,
-                          reconstruction_accuracy, synth_subspaces)
+                          reconstruction_accuracy, synth_blobs, synth_subspaces)
 
 
 class TestSynthSubspaces:
@@ -28,15 +28,35 @@ class TestSynthSubspaces:
         np.testing.assert_array_equal(l1, l2)
 
     def test_infeasible_spec(self):
-        with pytest.raises(InvalidSpec):
-            synth_subspaces(SubspaceSpec(k=10, sub_dim=10, d=50))
-        with pytest.raises(InvalidSpec):
-            synth_subspaces(SubspaceSpec(n_per=1, sub_dim=3))
+        for spec in (SubspaceSpec(k=10, sub_dim=10, d=50), SubspaceSpec(n_per=1, sub_dim=3),
+                     SubspaceSpec(noise_sigma=-1.0), SubspaceSpec(noise_sigma=np.nan),
+                     SubspaceSpec(noise_sigma=np.inf), SubspaceSpec(amplitude=np.nan),
+                     SubspaceSpec(amplitude=-np.inf)):
+            with pytest.raises(InvalidSpec):
+                synth_subspaces(spec)
+
+    def test_overlapping_subspaces(self):
+        """Without `disjoint`, each of the k subspaces still has rank sub_dim."""
+        spec = SubspaceSpec(k=3, sub_dim=2, d=10, n_per=6, disjoint=False, seed=4)
+        X, labels = synth_subspaces(spec)
+        assert X.shape == (10, 18)
+        for i in range(3):
+            assert np.linalg.matrix_rank(X[:, labels == i]) == 2
+        assert np.linalg.matrix_rank(X) == 6
 
     def test_amplitude(self):
         X, _ = synth_subspaces(SubspaceSpec(seed=0, amplitude=4.0))
         norms = np.linalg.norm(X, axis=0)
         assert 2.0 < norms.mean() < 6.0
+
+
+class TestSynthBlobs:
+    @pytest.mark.parametrize("kwargs", [
+        {"k": 0}, {"d": 0}, {"n_per": 0}, {"sep": np.nan}, {"sep": np.inf}],
+        ids=["k-0", "d-0", "n_per-0", "sep-nan", "sep-inf"])
+    def test_invalid_spec(self, kwargs):
+        with pytest.raises(InvalidSpec):
+            synth_blobs(**kwargs)
 
 
 class TestGaussianSnr:
@@ -140,11 +160,16 @@ class TestMetrics:
         with pytest.raises(DegenerateSignal):
             reconstruction_accuracy(np.zeros((2, 2)), np.ones((2, 2)))
 
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            reconstruction_accuracy(np.ones((2, 2)), np.ones((2, 3)))
+
 
 class TestOffblockRatio:
     def test_block_diagonal_is_zero(self):
         Z = np.kron(np.eye(3), np.ones((2, 2)))
         assert offblock_ratio(Z, [0, 0, 1, 1, 2, 2]) == 0.0
+        assert offblock_ratio(np.zeros((6, 6)), [0, 0, 1, 1, 2, 2]) == 0.0
 
     def test_all_ones_three_classes(self):
         n = 4

@@ -9,11 +9,13 @@ solve that stopped at max_iter unconverged, and counts them in its summary.
 `grid` sweeps ASLRC's alpha and beta, so it takes no other method.
 
 Data: `decompose` and `denoise` read `input` alike: one CSV matrix, or PGM
-images as columns on the [0, 1] pixel scale; an empty `input` is an error.
+images as columns on the [0, 1] pixel scale; an empty `input` is an error,
+and so is a `resize` with a CSV input.
 Without an `input` (absent or null), `denoise` draws the synthetic
 subspaces of the `SubspaceSpec` keys; PGM images of two sizes are an error.
 
-Config: `load_config` checks every key but `out`, for every subcommand and
+Config: the `--config` file holds one JSON object of flat keys.
+`load_config` checks every key but `out`, for every subcommand and
 before any output is written, by the key's entry in `DEFAULTS`.  A float
 default means a real number (a bool is none); an int default a count, an
 integer of at least 1 (`seed`: 0); a list default, or a non-null `methods`
@@ -137,7 +139,7 @@ def _solve(method, X, scfg, label, record_lagrangian=False):
     if method == "aslrc":
         dec = solve(X, scfg, record_lagrangian=record_lagrangian)
     else:
-        dec = latlrr_solve(X, scfg.lam, scfg, record_lagrangian=record_lagrangian)
+        dec = latlrr_solve(X, cfg=scfg, record_lagrangian=record_lagrangian)
     return dec, _record(method, label, t0, dec, dec.trace[-1].residual,
                         _error_share(X, dec.E_star))
 
@@ -191,9 +193,11 @@ def _load_input(cfg):
                 raise FormatError(f"image {p} has shape {g.pixels.shape}, but {inputs[0]} "
                                   f"has shape {shape}: input images must share one shape")
         return np.column_stack([image_to_matrix(g).ravel() for g in grids]), shape
-    if len(inputs) == 1:
-        return load_matrix_csv(inputs[0]), None
-    raise ValueError("multiple inputs must all be PGM images")
+    if len(inputs) > 1:
+        raise ValueError("multiple inputs must all be PGM images")
+    if cfg["resize"] is not None:
+        raise ValueError("resize applies to PGM images only, not to a CSV input")
+    return load_matrix_csv(inputs[0]), None
 
 
 def cmd_decompose(cfg, out):
@@ -349,6 +353,8 @@ def load_config(args):
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise TypeError(f"config must be a JSON object, got {type(file_cfg).__name__}")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -29,19 +29,19 @@ def latlrr_lagrangian(state, X, lam, blocks=None):
     if blocks is None:
         blocks = _lrr_residual_blocks(state, X)
     # svt returns an all-zero J or F below its threshold; its nuclear norm is 0.
-    value = ((thin_svd(state.J).singular_values.sum() if state.J.any() else 0.0)
-             + (thin_svd(state.F).singular_values.sum() if state.F.any() else 0.0)
+    value = ((thin_svd(state.J)[1].sum() if state.J.any() else 0.0)
+             + (thin_svd(state.F)[1].sum() if state.F.any() else 0.0)
              + lam * np.abs(state.E).sum())
     return _penalized(value, state, blocks)
 
 
 @one_blas_thread()
-def latlrr_solve(X, lam=None, cfg=None, record_lagrangian=True, callback=None):
+def latlrr_solve(X, lam=None, cfg=None, record_lagrangian=True):
     """Solve the baseline decomposition; returns the same Decomposition shape.
 
-    `lam` defaults to `cfg.lam`.  `callback(state, residual)` runs after each
-    sweep, and the whole solve runs on one BLAS thread, as in `solve`.  A
-    sweep that leaves the state non-finite raises NumericalError.
+    `lam` defaults to `cfg.lam`.  The whole solve runs on one BLAS thread,
+    as in `solve`.  A sweep that leaves the state non-finite raises
+    NumericalError.
     """
     cfg = cfg or SolverConfig()
     if lam is not None:
@@ -68,5 +68,5 @@ def latlrr_solve(X, lam=None, cfg=None, record_lagrangian=True, callback=None):
                   if record_lagrangian else None)
     trace, converged = _run_alm(state, cfg, sweep,
                                 lambda state: _lrr_residual_blocks(state, X),
-                                lagrangian, callback)
+                                lagrangian)
     return _decomposition(X, state, trace, converged)

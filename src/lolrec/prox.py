@@ -1,4 +1,4 @@
-"""Closed-form proximal/shrinkage operators and a thin-SVD wrapper.
+"""Closed-form proximal/shrinkage operators and the thin SVD they use.
 
 These are the building blocks of every solver update: soft thresholding
 at a scalar or per-entry threshold, singular value thresholding
@@ -6,19 +6,10 @@ at a scalar or per-entry threshold, singular value thresholding
 L2,1 norm).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import blas
 from .errors import DimensionError, InvalidThreshold, NumericalError
-
-
-@dataclass
-class ThinSvd:
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
 
 
 def _require_finite(M, who):
@@ -42,11 +33,12 @@ scalar_shrink = weighted_shrink
 
 
 def thin_svd(M):
-    """Thin SVD with nonincreasing singular values."""
+    """Thin SVD of M as numpy returns it: (U, s, Vt) with M = (U * s) @ Vt
+    and s nonincreasing."""
     M = np.asarray(M, dtype=float)
     _require_finite(M, "thin_svd")
     try:
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        return np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; retry with the slower but
         # more reliable gesvd driver before giving up.  scipy.linalg is
@@ -55,11 +47,9 @@ def thin_svd(M):
         import scipy.linalg
         blas.pin_late_copies()
         try:
-            U, s, Vt = scipy.linalg.svd(M, full_matrices=False,
-                                        lapack_driver="gesvd")
+            return scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
         except scipy.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD failed: {exc}") from exc
-    return ThinSvd(U=U, singular_values=s, V=Vt.T)
 
 
 def svt(M, tau):
@@ -86,9 +76,8 @@ def svt(M, tau):
                     np.sqrt(A.sum(axis=0).max() * A.sum(axis=1).max()))
         if bound <= tau * (1.0 - (M.size + 2) * np.finfo(float).eps):
             return np.zeros(M.shape)
-    f = thin_svd(M)
-    s = np.maximum(f.singular_values - tau, 0.0)
-    return (f.U * s) @ f.V.T
+    U, s, Vt = thin_svd(M)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
 
 
 def _shrink_factor(norms, taus):

@@ -91,9 +91,9 @@ def _lower_inverse(C):
         [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]].
     Up to 32 rows `np.linalg.inv` inverts C whole.  Above that its LU (it
     knows no triangular case) costs more than the halves: on one OpenBLAS
-    thread, `_spd_solve` of a 60-wide system with 60 right-hand sides took
-    0.095 ms this way against 0.12 ms with one `inv`, and 0.33 against
-    0.58 ms at 120 wide.
+    thread, an SPD solve (`_spd_factor`, then `cho_solve`) of a 60-wide
+    system with 60 right-hand sides took 0.095 ms this way against 0.12 ms
+    with one `inv`, and 0.33 against 0.58 ms at 120 wide.
     """
     n = C.shape[0]
     if n <= 32:
@@ -131,11 +131,6 @@ def _spd_factor(M):
 def cho_solve(T, B):
     """M^-1 B = T'(T B) for T = `_spd_factor(M)`."""
     return T.T @ (T @ B)
-
-
-def _spd_solve(M, B):
-    """Solve M @ X = B for symmetric positive-definite M (see `_spd_factor`)."""
-    return cho_solve(_spd_factor(M), B)
 
 
 def _add_div(A, B, c):
@@ -234,7 +229,7 @@ def update_R(state, X, cfg):
     M = 2.0 * cfg.beta * AtA + 2.0 * state.mu * np.eye(N)
     rhs = (2.0 * cfg.beta * AtA - state.Y5 + state.Y6
            + state.mu * state.S + state.mu * (1.0 - state.W))
-    return _spd_solve(M, rhs)
+    return cho_solve(_spd_factor(M), rhs)
 
 
 def update_Q(state, cfg):
@@ -346,7 +341,7 @@ def augmented_lagrangian(state, X, cfg, blocks=None):
     A = np.vstack([_salient(state, X), np.ones((1, N))])
     value = (
         # svt returns an all-zero J below its threshold; its nuclear norm is 0.
-        (thin_svd(state.J).singular_values.sum() if state.J.any() else 0.0)
+        (thin_svd(state.J)[1].sum() if state.J.any() else 0.0)
         + np.linalg.norm(state.F, axis=0).sum()
         + cfg.alpha * np.abs(state.W * state.Q).sum()
         + cfg.beta * (np.linalg.norm(A - A @ state.R, "fro") ** 2
@@ -375,15 +370,15 @@ def primal_sweep(state, X, cfg, zfactor=None, basis=None):
     return state
 
 
-def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None, callback=None):
+def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None):
     """Inexact-ALM loop shared by ASLRC, LatLRR and the classifier.
 
     `sweep(state)` updates the primal blocks at fixed multipliers and mu;
     `residual_blocks(state)` maps each multiplier name to its constraint
     residual, a new array that no one else holds: the multiplier ascent
     takes its buffer over.  The blocks are built once per sweep and feed the
-    convergence check, `lagrangian(state, blocks)`, the trace,
-    `callback(state, residual)` and the ascent.  Returns (trace, converged).
+    convergence check, `lagrangian(state, blocks)`, the trace and the
+    ascent (`_ascend`).  Returns (trace, converged).
     Every primal block enters a residual block, so a non-finite residual is
     the one check of the state: that sweep raises NumericalError.  A
     NumericalError raised inside a sweep carries that sweep's iteration.
@@ -404,8 +399,6 @@ def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None, callback=None)
         lag = lagrangian(state, blocks) if lagrangian is not None else float("nan")
         trace.append(TracePoint(iteration=state.iter, residual=residual, mu=state.mu,
                                 lagrangian=lag))
-        if callback is not None:
-            callback(state, residual)
         _ascend(state, blocks, cfg)
         if converged:
             break
@@ -428,7 +421,7 @@ def _decomposition(X, state, trace, converged):
 
 
 @one_blas_thread()
-def solve(X, cfg=None, record_lagrangian=True, callback=None):
+def solve(X, cfg=None, record_lagrangian=True):
     """Run the full inexact-ALM loop and return the converged decomposition.
 
     Stops when the max constraint residual drops below cfg.tol or after
@@ -448,5 +441,5 @@ def solve(X, cfg=None, record_lagrangian=True, callback=None):
     state = init_state(X, cfg)
     trace, converged = _run_alm(state, cfg,
                                 lambda state: primal_sweep(state, X, cfg, zfactor, basis),
-                                lambda state: _residual_blocks(state, X), lagrangian, callback)
+                                lambda state: _residual_blocks(state, X), lagrangian)
     return _decomposition(X, state, trace, converged)

@@ -17,7 +17,7 @@ def l_system(state, X, cfg):
 def cholesky_update_L(state, X, cfg, basis=None):
     """Reference L update: Cholesky of the d x d system, as before the range basis."""
     M, rhs = l_system(state, X, cfg)
-    return solver._spd_solve(M, rhs.T).T
+    return solver.cho_solve(solver._spd_factor(M), rhs.T).T
 
 
 def cholesky_latlrr_L(X, calls):

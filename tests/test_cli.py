@@ -398,6 +398,8 @@ class TestHarness:
         ("denoise", {"noise_sigma": float("nan")}, "InvalidSpec: need a finite noise_sigma >= 0"),
         ("bench-synth", {"amplitude": float("nan")}, "InvalidSpec: need a finite noise_sigma"),
         ("classify", {"blob_sep": float("nan")}, "InvalidSpec: sep=nan is not finite"),
+        ("decompose", {"input": "x.csv", "resize": [2, 2]},
+         "ValueError: resize applies to PGM images only, not to a CSV input"),
     ])
     def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, subcommand, bad,
                                        message):
@@ -454,6 +456,21 @@ class TestHarness:
         assert run(["bench-synth", "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == (
             f"error: ValueError: LOLREC_THREADS must be a positive integer, got {value!r}\n")
+
+    @pytest.mark.parametrize("text,kind", [("[]", "list"), ('""', "str"), ("null", "NoneType"),
+                                           ("5", "int"), ('"abc"', "str")],
+                             ids=["list", "empty-string", "null", "number", "string"])
+    def test_config_must_be_an_object(self, tmp_path, monkeypatch, capsys, text, kind):
+        """A config file whose top level is no JSON object exits 2 before
+        the output directory is made."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        monkeypatch.setattr(cli, "_solve", lambda *a, **k: pytest.fail("solved"))
+        out = tmp_path / "o"
+        assert run(["bench-synth", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: TypeError: config must be a JSON object, got {kind}\n")
+        assert not out.exists()
 
     def test_unreadable_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -42,7 +42,7 @@ def test_paired_with_aslrc():
     assert za > 0.9 and zl > 0.9
 
 
-def test_sweep_monotone(rng):
+def test_sweep_monotone(rng, monkeypatch):
     # compare the Lagrangian before vs after each primal sweep at the
     # multipliers/mu that sweep saw
     X = rng.standard_normal((6, 8))
@@ -50,15 +50,18 @@ def test_sweep_monotone(rng):
     prev = {}
     checked = []
 
-    def watch(state, residual):
+    real = solver._ascend
+
+    def watch(state, blocks, cfg):  # after each sweep, before its ascent
         after = latlrr_lagrangian(state, X, lam)
         if prev:
             before = latlrr_lagrangian(SimpleNamespace(**{**vars(state), **prev}), X, lam)
             checked.append(after <= before + 1e-8 * (1 + abs(before)))
         prev.update((k, getattr(state, k).copy()) for k in "ZLEJF")
+        real(state, blocks, cfg)
 
-    latlrr_solve(X, lam, SolverConfig(max_iter=30), record_lagrangian=False,
-                 callback=watch)
+    monkeypatch.setattr(solver, "_ascend", watch)
+    latlrr_solve(X, lam, SolverConfig(max_iter=30), record_lagrangian=False)
     assert len(checked) == 29 and all(checked)
 
 

@@ -665,7 +665,7 @@ def spd_cases(rng):
 
 
 class TestSpdKernel:
-    """`_spd_solve` and the fixed-factor `cho_solve` against LAPACK's
+    """`cho_solve` with the factor of `_spd_factor` against LAPACK's
     Cholesky solve, within cond(M) 1e-15 relative."""
 
     @pytest.mark.parametrize("M,B", spd_cases(np.random.default_rng(3)))
@@ -673,10 +673,8 @@ class TestSpdKernel:
         from scipy.linalg import cho_factor, cho_solve
         reference = cho_solve(cho_factor(M), B)
         bound = np.linalg.cond(M) * 1e-15 * np.linalg.norm(reference)
-        factor = solver._spd_factor(M)
-        for x in (solver._spd_solve(M, B), latlrr.cho_solve(factor, B),
-                  classify.cho_solve(factor, B)):
-            assert np.linalg.norm(x - reference) <= bound
+        x = solver.cho_solve(solver._spd_factor(M), B)
+        assert np.linalg.norm(x - reference) <= bound
 
     def test_ill_conditioned_K_is_ill_conditioned(self):
         K, _ = ill_conditioned_K(np.random.default_rng(3))
@@ -687,7 +685,7 @@ class TestSpdKernel:
         monkeypatch.setattr(np.linalg, "cholesky", lambda M: calls.append(M) or real(M))
         A = np.random.default_rng(0).standard_normal((6, 2))
         M = A @ A.T
-        X = solver._spd_solve(M, M)
+        X = solver.cho_solve(solver._spd_factor(M), M)
         assert len(calls) == 2
         assert np.linalg.norm(M @ X - M) <= 1e-6 * np.linalg.norm(M)
 
@@ -723,19 +721,21 @@ def test_sweep_temporaries_stay_below_a_bound():
 
 
 @pytest.mark.parametrize("method", ["aslrc", "latlrr"])
-def test_ascent_mutates_no_array_a_caller_holds(method):
-    """Blocks a callback keeps from sweep k are unchanged after sweep k + 1."""
+def test_ascent_mutates_no_array_a_caller_holds(monkeypatch, method):
+    """Blocks kept at sweep k's ascent are unchanged after sweep k + 1."""
     names = {"aslrc": ("Y1", "Y2", "Y3", "Y4", "Y5", "Y6", "L", "F"),
              "latlrr": ("Y1", "Y2", "Y3", "L", "F")}[method]
     kept = []
+    real = solver._ascend
 
-    def callback(state, residual):
+    def ascend(state, blocks, cfg):
         kept.append({n: (getattr(state, n), getattr(state, n).copy()) for n in names})
+        real(state, blocks, cfg)
 
+    monkeypatch.setattr(solver, "_ascend", ascend)
     X, _ = synth_subspaces(SubspaceSpec(k=2, sub_dim=2, d=12, n_per=8, seed=1))
-    run = {"aslrc": lambda: solve(X, CFG, record_lagrangian=False, callback=callback),
-           "latlrr": lambda: latlrr_solve(X, cfg=CFG, record_lagrangian=False,
-                                          callback=callback)}[method]
+    run = {"aslrc": lambda: solve(X, CFG, record_lagrangian=False),
+           "latlrr": lambda: latlrr_solve(X, cfg=CFG, record_lagrangian=False)}[method]
     dec = run()
     assert len(kept) == dec.iterations > 2
     for sweep in kept:

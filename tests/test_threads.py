@@ -53,9 +53,20 @@ def data():
     return np.random.default_rng(0).standard_normal((8, 12))
 
 
-def test_solve_pins_and_restores(three_threads):
+def count_each_sweep(monkeypatch, seen):
+    """Append `counts()` to `seen` at each sweep's multiplier ascent."""
+    real = solver._ascend
+
+    def ascend(state, blocks, cfg):
+        seen.append(counts())
+        real(state, blocks, cfg)
+    monkeypatch.setattr(solver, "_ascend", ascend)
+
+
+def test_solve_pins_and_restores(three_threads, monkeypatch):
     seen = []
-    solve(data(), CFG, callback=lambda state, residual: seen.append(counts()))
+    count_each_sweep(monkeypatch, seen)
+    solve(data(), CFG)
     assert seen and all(c == [1] * len(setters()) for c in seen)
     assert counts() == [3] * len(setters())
 
@@ -70,22 +81,24 @@ def test_restored_after_numerical_error(three_threads, monkeypatch):
 def test_blas_variable_wins(three_threads, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     seen = []
-    solve(data(), CFG, callback=lambda state, residual: seen.append(counts()))
+    count_each_sweep(monkeypatch, seen)
+    solve(data(), CFG)
     assert all(c == [3] * len(setters()) for c in seen)
     assert blas.solve_threads() == "env"
 
 
-def test_concurrent_solves_keep_the_pin_until_the_last_one_ends(three_threads):
+def test_concurrent_solves_keep_the_pin_until_the_last_one_ends(three_threads, monkeypatch):
     """More solving threads than cores: no solve's exit undoes another's pin."""
     n = 4
     barrier = threading.Barrier(n, timeout=60)
     seen, errors = [], []
+    count_each_sweep(monkeypatch, seen)
 
     def work():
         try:
             with blas.one_blas_thread():
                 barrier.wait()
-                solve(data(), CFG, callback=lambda state, residual: seen.append(counts()))
+                solve(data(), CFG)
                 barrier.wait()
                 seen.append(counts())
         except Exception as exc:  # reported below: a thread's exception is otherwise lost
@@ -237,6 +250,7 @@ def counts():
 LATE_COPY = COUNTS + """
 import json, sys
 import numpy as np
+from lolrec import solver
 from lolrec.solver import SolverConfig, solve
 
 for lib in blas.loaded_openblas():
@@ -250,8 +264,15 @@ def failing_svd(*args, **kwargs):
 
 np.linalg.svd = failing_svd  # every SVD of the solve takes the gesvd fallback
 during = []
+real_ascend = solver._ascend
+
+def ascend(state, blocks, cfg):  # counted at each sweep's multiplier ascent
+    during.append(counts())
+    real_ascend(state, blocks, cfg)
+
+solver._ascend = ascend
 solve(np.random.default_rng(0).standard_normal((8, 12)), SolverConfig(mu0=1.0, max_iter=20),
-      record_lagrangian=False, callback=lambda state, residual: during.append(counts()))
+      record_lagrangian=False)
 print(json.dumps({"before": before, "loaded_before": loaded_before, "during": during,
                   "after": counts()}))
 """

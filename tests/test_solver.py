@@ -665,16 +665,19 @@ def spd_cases(rng):
 
 
 class TestSpdKernel:
-    """`cho_solve` with the factor of `_spd_factor` against LAPACK's
-    Cholesky solve, within cond(M) 1e-15 relative."""
+    """`cho_solve` with the factor of `_spd_factor`, under each module's
+    name for it, against LAPACK's Cholesky solve, within cond(M) 1e-15
+    relative."""
 
     @pytest.mark.parametrize("M,B", spd_cases(np.random.default_rng(3)))
     def test_matches_lapack_cholesky_solve(self, M, B):
         from scipy.linalg import cho_factor, cho_solve
         reference = cho_solve(cho_factor(M), B)
         bound = np.linalg.cond(M) * 1e-15 * np.linalg.norm(reference)
-        x = solver.cho_solve(solver._spd_factor(M), B)
-        assert np.linalg.norm(x - reference) <= bound
+        factor = solver._spd_factor(M)
+        for x in (solver.cho_solve(factor, B), latlrr.cho_solve(factor, B),
+                  classify.cho_solve(factor, B)):
+            assert np.linalg.norm(x - reference) <= bound
 
     def test_ill_conditioned_K_is_ill_conditioned(self):
         K, _ = ill_conditioned_K(np.random.default_rng(3))

@@ -6,8 +6,8 @@ BASE is a directory that holds a lolrec checkout (its `src/` is run), or a
 git ref of this repository, which is checked out with `git worktree add`
 into a temporary directory and removed afterwards.  The inputs are made
 once, by perfbench's workloads at seed 7 (`workloads.WORKLOADS`).  Then nine
-runs, perfbench's four workloads and those in `EXTRA`, go through BASE's
-`src` and through this checkout's, each a
+runs, perfbench's four workloads, those in `EXTRA` and "decompose-latlrr",
+go through BASE's `src` and through this checkout's, each a
 fresh `python -m lolrec.cli` process without perfbench's thread variables
 (`workloads.THREAD_VARS`), so every run takes the CLI's defaults.
 
@@ -20,7 +20,6 @@ sides and every artifact is identical.
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import subprocess
@@ -34,18 +33,19 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 7
 
-# Shapes that keep the runs beyond perfbench's workloads quick at size tiny.
+# Shapes that keep the runs with no perfbench workload quick at size tiny.
 TINY = {"subspaces": 2, "sub_dim": 2, "ambient": 10, "n_per": 8, "dim": 6,
         "train_count": 5, "test_count": 5, "max_iter": 120, "tol": 1e-4}
 
-# The runs beyond perfbench's four workloads: name -> (subcommand, config).
-# A config of None means the arguments of perfbench's `decompose-image`.
+# The runs beyond perfbench's four workloads: name -> (subcommand, the
+# perfbench workload whose shapes it takes or None for TINY at size tiny and
+# the CLI's defaults at full, config).  One more, "decompose-latlrr", runs
+# perfbench's `decompose-image` arguments with `--method latlrr`.
 EXTRA = {
-    "denoise-both": ("denoise", {"methods": ["aslrc", "latlrr"], "pct_list": [10, 50]}),
-    "classify-blobs": ("classify", {"splits": 3}),
-    "classify-subspaces": ("classify", {"data": "subspaces", "splits": 3}),
-    "bench-synth-latlrr": ("bench-synth", {"method": "latlrr"}),
-    "decompose-latlrr": ("decompose", None),
+    "denoise-both": ("denoise", None, {"methods": ["aslrc", "latlrr"], "pct_list": [10, 50]}),
+    "classify-blobs": ("classify", None, {"splits": 3}),
+    "classify-subspaces": ("classify", None, {"data": "subspaces", "splits": 3}),
+    "bench-synth-latlrr": ("bench-synth", "bench-synth", {"method": "latlrr"}),
 }
 
 MANIFEST_KEYS = ("summary", "solves", "config_hash")
@@ -69,13 +69,15 @@ def make_inputs(workloads, size, directory):
         where = Path(directory) / name
         where.mkdir(parents=True)
         runs[name] = wl.make_inputs(SEED, size, where)
-    for name, (subcommand, cfg) in EXTRA.items():
-        if cfg is None:
-            runs[name] = [*runs["decompose-image"], "--method", "latlrr"]
-            continue
+    for name, (subcommand, shapes, cfg) in EXTRA.items():
+        if shapes:
+            base = workloads.WORKLOADS[shapes].sizes[size]
+        else:
+            base = TINY if size == "tiny" else {}
         path = Path(directory) / f"{name}.json"
-        path.write_text(json.dumps({**(TINY if size == "tiny" else {}), **cfg}))
+        path.write_text(json.dumps({**base, **cfg}))
         runs[name] = [subcommand, "--config", str(path)]
+    runs["decompose-latlrr"] = [*runs["decompose-image"], "--method", "latlrr"]
     return runs
 
 
@@ -97,14 +99,9 @@ def run_all(trees, runs, thread_vars, out_root):
         return dict(zip(keys, pool.map(lambda key: one(*key), keys)))
 
 
-def read_cells(path):
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
-
-
-def csv_difference(a, b):
+def csv_difference(workloads, a, b):
     """How the CSV files `a` and `b` differ, in words."""
-    ra, rb = read_cells(a), read_cells(b)
+    ra, rb = (workloads.read_csv(path, header=False)[1] for path in (a, b))
     if [len(r) for r in ra] != [len(r) for r in rb]:
         return "rows or columns differ"
     numbers = []
@@ -130,7 +127,7 @@ def manifest_view(path):
     return {k: m[k] for k in MANIFEST_KEYS}
 
 
-def compare(a, b):
+def compare(workloads, a, b):
     """One (artifact, verdict) per file in either directory; the verdict of
     a same file is "identical"."""
     names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
@@ -145,7 +142,7 @@ def compare(a, b):
         elif fa.read_bytes() == fb.read_bytes():
             verdict = "identical"
         elif name.endswith(".csv"):
-            verdict = csv_difference(fa, fb)
+            verdict = csv_difference(workloads, fa, fb)
         else:
             verdict = "bytes differ"
         yield name, verdict
@@ -192,7 +189,7 @@ def main(argv=None):
                 print(f"{name}: exit {codes[0][0]} (base), {codes[1][0]} (this checkout): "
                       + " / ".join(line for _, line in codes if line))
                 continue
-            for artifact, verdict in compare(tmp / "out" / "base" / name,
+            for artifact, verdict in compare(workloads, tmp / "out" / "base" / name,
                                              tmp / "out" / "head" / name):
                 total += 1
                 same += verdict == "identical"

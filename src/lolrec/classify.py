@@ -41,7 +41,6 @@ class ClassifierModel:
     C_star: np.ndarray        # d x c
     L_star: np.ndarray        # d x d projection applied before C
     training_error: np.ndarray  # N x c
-    ridge_delta: float
     converged: bool
     residual: float
     iterations: int           # ALM sweeps run: max_iter when not converged
@@ -83,9 +82,8 @@ def train_classifier(features, H, cfg=None, L_star=None):
     state = _zero_state(cfg, C=(d, c), Ec=(N, c), Y=(N, c))
     trace, converged = _run_alm(state, cfg, sweep, lambda s: {"Y": Ht - F.T @ s.C - s.Ec})
     return ClassifierModel(C_star=state.C, L_star=np.asarray(L_star, dtype=float),
-                           training_error=state.Ec, ridge_delta=float(delta),
-                           converged=converged, residual=trace[-1].residual,
-                           iterations=state.iter)
+                           training_error=state.Ec, converged=converged,
+                           residual=trace[-1].residual, iterations=state.iter)
 
 
 def predict_labels(model, X_test):

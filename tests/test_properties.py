@@ -1,0 +1,101 @@
+"""Property tests: any small finite matrix and any valid config give a valid
+result or a `ToolkitError`, and the CLI exits 0 or 2.
+
+Matrices are 1x1 to 8x8 with entries of scale 10^k, k in [-300, 300];
+alpha, beta and lambda take the extremes 0, 1e-8 and 1e8, `mu0` 1e-6 or 1,
+and `max_iter` 1, 2 or 300, so that some solves stop unconverged.  Runs are
+derandomized, so the suite draws the same cases every time.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")  # not in pyproject's `test` extra
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from lolrec import SolverConfig, latlrr_solve, one_hot, solve, train_classifier
+from lolrec.cli import main
+from lolrec.errors import ToolkitError
+from lolrec.matrix_io import save_matrix_csv
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=150,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+EXTREMES = st.sampled_from([0.0, 1e-8, 1e8])
+
+
+@st.composite
+def matrices(draw):
+    d, N = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    return np.random.default_rng(seed).standard_normal((d, N)) * scale
+
+
+configs = st.fixed_dictionaries({
+    "alpha": EXTREMES, "beta": EXTREMES, "lam": EXTREMES,
+    "mu0": st.sampled_from([1e-6, 1.0]), "max_iter": st.sampled_from([1, 2, 300]),
+})
+
+
+def assert_decomposition(dec, X, cfg):
+    d, N = X.shape
+    for block, shape in ((dec.Z_star, (N, N)), (dec.L_star, (d, d)), (dec.E_star, (d, N)),
+                         (dec.principal, (d, N)), (dec.salient, (d, N))):
+        assert block.shape == shape
+        assert np.all(np.isfinite(block))
+    assert 1 <= dec.iterations <= cfg.max_iter
+    assert len(dec.trace) == dec.iterations
+
+
+@SETTINGS
+@given(X=matrices(), config=configs)
+def test_solvers_return_a_valid_result_or_a_toolkit_error(X, config):
+    cfg = SolverConfig(**config)
+    for run in (solve, latlrr_solve):
+        try:
+            dec = run(X, cfg=cfg, record_lagrangian=True)
+        except ToolkitError:
+            continue
+        assert_decomposition(dec, X, cfg)
+
+
+@SETTINGS
+@given(X=matrices(), config=configs, data=st.data())
+def test_classifier_returns_a_valid_model_or_a_toolkit_error(X, config, data):
+    cfg = SolverConfig(**config)
+    d, N = X.shape
+    classes = data.draw(st.integers(1, N))
+    labels = data.draw(st.lists(st.integers(0, classes - 1), min_size=N, max_size=N))
+    try:
+        model = train_classifier(X, one_hot(labels, classes), cfg)
+    except ToolkitError:
+        return
+    for block, shape in ((model.C_star, (d, classes)), (model.L_star, (d, d)),
+                         (model.training_error, (N, classes))):
+        assert block.shape == shape
+        assert np.all(np.isfinite(block))
+    assert 1 <= model.iterations <= cfg.max_iter
+
+
+@SETTINGS
+@given(X=matrices(), config=configs, method=st.sampled_from(["aslrc", "latlrr"]))
+def test_cli_decompose_exits_0_or_2_and_warns_per_unconverged_solve(
+        X, config, method, tmp_path_factory, capsys):
+    where = tmp_path_factory.mktemp("decompose")
+    save_matrix_csv(X, where / "X.csv")
+    (where / "config.json").write_text(json.dumps(
+        {**{"lambda" if k == "lam" else k: v for k, v in config.items()}, "method": method}))
+    code = main(["decompose", "--config", str(where / "config.json"),
+                 "--input", str(where / "X.csv"), "--out", str(where / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 0:
+        solves = json.loads((where / "out" / "manifest.json").read_text())["solves"]
+        warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+        assert len(warnings) == sum(not r["converged"] for r in solves)
+    else:
+        assert err.startswith("error: ")

@@ -5,7 +5,7 @@
 BASE is a directory that holds a lolrec checkout (its `src/` is run), or a
 git ref of this repository, which is checked out with `git worktree add`
 into a temporary directory and removed afterwards.  The inputs are made
-once, by perfbench's workloads at seed 7 (`workloads.WORKLOADS`).  Then nine
+once, by perfbench's workloads at seed 7 (`workloads.WORKLOADS`).  Then ten
 runs, perfbench's four workloads, those in `EXTRA` and "decompose-latlrr",
 go through BASE's `src` and through this checkout's, each a
 fresh `python -m lolrec.cli` process without perfbench's thread variables
@@ -45,6 +45,7 @@ EXTRA = {
     "denoise-both": ("denoise", None, {"methods": ["aslrc", "latlrr"], "pct_list": [10, 50]}),
     "classify-blobs": ("classify", None, {"splits": 3}),
     "classify-subspaces": ("classify", None, {"data": "subspaces", "splits": 3}),
+    "classify-latlrr": ("classify", None, {"method": "latlrr", "splits": 3}),
     "bench-synth-latlrr": ("bench-synth", "bench-synth", {"method": "latlrr"}),
 }
 

@@ -12,6 +12,17 @@ previous sweep's Z, E, R and W, S respectively.  LatLRR (`latlrr.py`) shares
 the zero start (`_zero_state`), the ALM loop (`_run_alm`), the L step
 (`_solve_L`), L @ X (`_salient`) and the residuals of X = XZ + LX + E, J = Z
 and F = L (`_lrr_residual_blocks`).
+
+At d > N, ASLRC's `solve` starts in a range phase (`_start_range_phase`).
+With X = QB the reduced QR (Q d x r, r = N < d), the phase holds F = 0 and
+Y3 = Y~ Q' and keeps only the d x r coordinates Y~ in `state.Y3`; the
+state's private `_range` holds (Q, W), where L = W Q' comes from the last
+L step.  Every d x d block but L is then left unformed: the L step works
+from Y~, the F step tests for a zero L2,1 prox from an r x r Gram matrix,
+the Y3 residual L - F = L is given by its coordinates W, and the ascent is
+Y~ <- Y~ + mu W.  The first F step that may keep a column forms Y3 = Y~ Q'
+and ends the phase; from then on the sweep runs on the dense blocks.  States
+that callers build have no `_range`, and d <= N solves never enter the phase.
 """
 
 import numbers
@@ -157,24 +168,32 @@ def _solve_L(state, X, basis, extra=0.0):
         L X = HQB + (W - HQ) Q'QB = W B,
     so L @ X costs a d x r by r x N product instead of a d x d by d x N one.
     For d > N the step makes two d x d x r products: HQ and (W - HQ) Q'.
+    In ASLRC's range phase (module docstring) F = 0 and Y3 = Y~ Q', so
+    HQ = -Y~/mu and H (I - QQ') = 0: W = (P B' - Y~) K^-1 and L = W Q', one
+    d x d x r product, and W goes to the state's `_range`.
     """
     Q, B = basis
     mu = state.mu
     P = state.Y1 + mu * (X - X @ state.Z - state.E)
-    H = _add_div(state.F, state.Y3, -mu)
     K = mu * (np.eye(B.shape[0]) + B @ B.T) + extra
-    HQ = H @ Q
     # W K = P B' + mu HQ, so W = (P B' + mu HQ) K^-1 = (P B' + mu HQ) T'T
     # with T = `_spd_factor(K)`: two d x r by r x r products, no transpose.
     T = _spd_factor(K)
-    W = ((P @ B.T + mu * HQ) @ T.T) @ T
-    if Q.shape[1] == Q.shape[0]:
-        # Q is square, so I - QQ' = 0: H - HQQ' would add only rounding, of
-        # size eps |H|, to L's components that K scales up.
+    if getattr(state, "_range", None) is not None:
+        W = ((P @ B.T - state.Y3) @ T.T) @ T
         L = W @ Q.T
+        state._range = (Q, W)
     else:
-        L = (W - HQ) @ Q.T
-        L += H
+        H = _add_div(state.F, state.Y3, -mu)
+        HQ = H @ Q
+        W = ((P @ B.T + mu * HQ) @ T.T) @ T
+        if Q.shape[1] == Q.shape[0]:
+            # Q is square, so I - QQ' = 0: H - HQQ' would add only rounding, of
+            # size eps |H|, to L's components that K scales up.
+            L = W @ Q.T
+        else:
+            L = (W - HQ) @ Q.T
+            L += H
     state._lx = (L, X, W @ B)
     return L
 
@@ -253,8 +272,42 @@ def update_J(state):
     return svt(state.Z + state.Y2 / state.mu, 1.0 / state.mu)
 
 
+def _l21_prox_is_zero(Q, W, Yr, mu):
+    """Whether the L2,1 prox at tau = 1/mu of L + Y3/mu = A Q' is zero, for
+    L = W Q', Y3 = Yr Q' and A = W + Yr/mu, without forming A Q'.
+
+    Column j of A Q' is A q_j, with q_j row j of Q, so its squared norm is
+    q_j G q_j' for the r x r G = A'A.  Each q_j has norm at most 1, so those
+    d values are off by at most about (d + 2r) eps tr(G).  The dense step
+    forms L + Y3/mu with entry errors up to (r + 2) eps (|W| + |Yr|/mu) |Q|',
+    which moves a column norm by up to (r + 2) eps (||W|| + ||Yr||/mu), and
+    its own norms carry (d + 2) eps.  The test allows twice each of these
+    first-order bounds.  A norm that is not finite or below 1e-150 (where
+    `_l21_scale` rescales, and a square may have underflowed) answers False.
+    """
+    d, r = Q.shape
+    A = _add_div(W, Yr, mu)
+    G = A.T @ A
+    norms2 = np.einsum("ij,ij->i", Q @ G, Q)
+    u = 2.0 * (d + 2 * r + 4) * np.finfo(float).eps
+    top = (np.sqrt(norms2.max() + u * np.trace(G))
+           + u * (np.linalg.norm(W) + np.linalg.norm(Yr) / mu))
+    return bool(norms2.min() >= 1e-300 and top * (1.0 + u) <= 1.0 / mu)
+
+
 def update_F(state):
-    """L2,1 prox: column shrink of L + Y3/mu at 1/mu, scaling that fresh sum in place."""
+    """L2,1 prox: column shrink of L + Y3/mu at 1/mu, scaling that fresh sum in place.
+
+    In ASLRC's range phase (module docstring) F stays the zero block while
+    `_l21_prox_is_zero` shows that every column shrinks to zero.  Otherwise
+    Y3 = Y~ Q' is formed, the phase ends, and the dense step runs.
+    """
+    if getattr(state, "_range", None) is not None:
+        Q, W = state._range
+        if _l21_prox_is_zero(Q, W, state.Y3, state.mu):
+            return state.F
+        state.Y3 = state.Y3 @ Q.T
+        state._range = None
     M = _add_div(state.L, state.Y3, state.mu)
     M *= _l21_scale(M, 1.0 / state.mu)
     return M
@@ -273,10 +326,14 @@ def update_E(state, X, cfg):
 
 def _lrr_residual_blocks(state, X):
     """The residuals of X = XZ + LX + E, J = Z and F = L that both models
-    share, keyed by the multiplier that prices each."""
+    share, keyed by the multiplier that prices each.  In ASLRC's range phase
+    the Y3 residual L - F = L = W Q' is given by its coordinates W, as Y3 is
+    by Y~: the ascent and the Lagrangian's terms <Y3, r> and ||r|| read the
+    same on coordinates, since Q'Q = I."""
+    phase = getattr(state, "_range", None)
     return {"Y1": X - X @ state.Z - _salient(state, X) - state.E,
             "Y2": state.Z - state.J,
-            "Y3": state.L - state.F}
+            "Y3": state.L - state.F if phase is None else phase[1].copy()}
 
 
 def _residual_blocks(state, X):
@@ -287,12 +344,15 @@ def _residual_blocks(state, X):
             "Y6": 1.0 - state.W - state.R}
 
 
-def _max_abs(blocks):
+def _max_abs(blocks, state=None):
     """Max entrywise-infinity norm over residual blocks (0 for empty ones); NaN propagates.
 
     max |b| is taken as max(b.max(), -b.min()), which writes no |b|; a NaN in
-    b makes both NaN.
+    b makes both NaN.  In the range phase of `state` the Y3 block holds
+    coordinates, so that block's max is read off L - F = L.
     """
+    if getattr(state, "_range", None) is not None:
+        blocks = {**blocks, "Y3": state.L}
     return float(np.max([max(b.max(), -b.min()) if b.size else 0.0 for b in blocks.values()]))
 
 
@@ -326,7 +386,7 @@ def update_multipliers_and_mu(state, X, cfg):
 
 def check_convergence(state, X, cfg):
     """Max entrywise-infinity norm over the six constraint residuals."""
-    residual = _max_abs(_residual_blocks(state, X))
+    residual = _max_abs(_residual_blocks(state, X), state)
     return residual < cfg.tol, residual
 
 
@@ -342,7 +402,8 @@ def augmented_lagrangian(state, X, cfg, blocks=None):
     value = (
         # svt returns an all-zero J below its threshold; its nuclear norm is 0.
         (thin_svd(state.J)[1].sum() if state.J.any() else 0.0)
-        + np.linalg.norm(state.F, axis=0).sum()
+        + (np.linalg.norm(state.F, axis=0).sum() if getattr(state, "_range", None) is None
+           else 0.0)  # F = 0 in the range phase
         + cfg.alpha * np.abs(state.W * state.Q).sum()
         + cfg.beta * (np.linalg.norm(A - A @ state.R, "fro") ** 2
                       + np.linalg.norm(state.S, axis=0).sum())
@@ -392,7 +453,7 @@ def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None):
                 exc.iteration = state.iter
             raise
         blocks = residual_blocks(state)
-        residual = _max_abs(blocks)
+        residual = _max_abs(blocks, state)
         if not np.isfinite(residual):
             raise NumericalError("non-finite solver state", iteration=state.iter)
         converged = residual < cfg.tol
@@ -403,6 +464,15 @@ def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None):
         if converged:
             break
     return trace, converged
+
+
+def _start_range_phase(state, basis):
+    """Start ASLRC's range phase (module docstring) at the zero state when
+    the reduced QR X = QB has r < d: Y3 = 0 is held as d x r coordinates."""
+    Q = basis[0]
+    if Q.shape[1] < Q.shape[0]:
+        state.Y3 = np.zeros(Q.shape)
+        state._range = (Q, None)
 
 
 def _data_matrix(X):
@@ -429,7 +499,8 @@ def solve(X, cfg=None, record_lagrangian=True):
     sweep that leaves the state non-finite raises NumericalError.
     Everything from the set-up to the output products runs on one BLAS
     thread (see `blas.one_blas_thread`), so the result does not depend on
-    the caller's BLAS thread count.
+    the caller's BLAS thread count.  At d > N the sweeps up to the first F
+    step that keeps a column run in the range phase (module docstring).
     """
     cfg = cfg or SolverConfig()
     X = _data_matrix(X)
@@ -439,6 +510,7 @@ def solve(X, cfg=None, record_lagrangian=True):
     lagrangian = ((lambda state, blocks: augmented_lagrangian(state, X, cfg, blocks))
                   if record_lagrangian else None)
     state = init_state(X, cfg)
+    _start_range_phase(state, basis)
     trace, converged = _run_alm(state, cfg,
                                 lambda state: primal_sweep(state, X, cfg, zfactor, basis),
                                 lambda state: _residual_blocks(state, X), lagrangian)

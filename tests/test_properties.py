@@ -3,8 +3,10 @@ result or a `ToolkitError`, and the CLI exits 0 or 2.
 
 Matrices are 1x1 to 8x8 with entries of scale 10^k, k in [-300, 300];
 alpha, beta and lambda take the extremes 0, 1e-8 and 1e8, `mu0` 1e-6 or 1,
-and `max_iter` 1, 2 or 300, so that some solves stop unconverged.  Runs are
-derandomized, so the suite draws the same cases every time.
+and `max_iter` 1, 2 or 300, so that some solves stop unconverged.  Tall
+(d > N) float32 and integer matrices join them, so that `solve` starts in
+its range phase on inputs that are not float64.  Runs are derandomized, so
+the suite draws the same cases every time.
 """
 
 import json
@@ -12,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-pytest.importorskip("hypothesis")  # not in pyproject's `test` extra
+pytest.importorskip("hypothesis")  # in pyproject's `test` extra; skipped where missing
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
@@ -35,6 +37,24 @@ def matrices(draw):
     return np.random.default_rng(seed).standard_normal((d, N)) * scale
 
 
+@st.composite
+def tall_matrices(draw, dtypes):
+    """Tall matrices of one of `dtypes`: float32 entries of scale 10^k,
+    k in [-45, 38], so that some underflow to 0 or overflow to inf, and
+    integers across their type's whole range."""
+    N = draw(st.integers(1, 6))
+    d = draw(st.integers(N + 1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from(dtypes))
+    if dtype is np.float32:
+        with np.errstate(over="ignore"):
+            return (rng.standard_normal((d, N)) * 10.0 ** draw(st.integers(-45, 38))).astype(dtype)
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, (d, N), dtype=dtype, endpoint=True)
+
+
+inputs = st.one_of(matrices(), tall_matrices([np.float32]),
+                   tall_matrices([np.int8, np.uint8, np.int32, np.int64, np.uint64]))
 configs = st.fixed_dictionaries({
     "alpha": EXTREMES, "beta": EXTREMES, "lam": EXTREMES,
     "mu0": st.sampled_from([1e-6, 1.0]), "max_iter": st.sampled_from([1, 2, 300]),
@@ -52,7 +72,7 @@ def assert_decomposition(dec, X, cfg):
 
 
 @SETTINGS
-@given(X=matrices(), config=configs)
+@given(X=inputs, config=configs)
 def test_solvers_return_a_valid_result_or_a_toolkit_error(X, config):
     cfg = SolverConfig(**config)
     for run in (solve, latlrr_solve):
@@ -64,7 +84,7 @@ def test_solvers_return_a_valid_result_or_a_toolkit_error(X, config):
 
 
 @SETTINGS
-@given(X=matrices(), config=configs, data=st.data())
+@given(X=inputs, config=configs, data=st.data())
 def test_classifier_returns_a_valid_model_or_a_toolkit_error(X, config, data):
     cfg = SolverConfig(**config)
     d, N = X.shape

@@ -8,7 +8,7 @@ import pytest
 from conftest import assert_beats_perturbations, fd_gradient, random_state
 from reference import cholesky_latlrr_L, cholesky_update_L, l_system, reference_svt
 from lolrec import classify, latlrr, prox, solver
-from lolrec.errors import NumericalError
+from lolrec.errors import NumericalError, ToolkitError
 from lolrec.latlrr import latlrr_solve
 from lolrec.solver import (SolverConfig, augmented_lagrangian, check_convergence,
                            init_state, primal_sweep, solve, update_E, update_F,
@@ -467,7 +467,10 @@ class TestRangeBasis:
         X, atol = reference_instance(instance)
         cfg = SolverConfig(alpha=0.01, beta=0.01, lam=0.015)
         new = solve(X, cfg, record_lagrangian=False)
+        # The reference runs on the dense blocks from the first sweep: the
+        # d x d Cholesky step reads F and Y3, which the range phase leaves unformed.
         monkeypatch.setattr(solver, "update_L", cholesky_update_L)
+        monkeypatch.setattr(solver, "_start_range_phase", lambda state, basis: None)
         ref = solve(X, cfg, record_lagrangian=False)
         assert new.converged and new.iterations == ref.iterations
         assert np.linalg.norm(new.Z_star - ref.Z_star) <= 1e-10 * np.linalg.norm(ref.Z_star)
@@ -521,6 +524,199 @@ class TestRangeBasis:
         assert dec.iterations == 3 and products == []
         salient = dec.L_star @ X.view(np.ndarray)
         assert np.linalg.norm(dec.salient - salient) <= 1e-12 * np.linalg.norm(salient)
+
+
+def tiny_faces(seed=7, identities=2, per_identity=4, side=8):
+    """Image-shaped columns (d = side^2 pixels > N images): each identity is a
+    smooth albedo under random affine lighting, and a tenth of each image's
+    pixels is replaced by uniform noise."""
+    rng = np.random.default_rng(seed)
+    y, x = np.mgrid[-1:1:side * 1j, -1:1:side * 1j]
+    columns = []
+    for _ in range(identities):
+        fx, fy = rng.uniform(0.5, 3.0, 2)
+        albedo = 0.6 + 0.1 * np.cos(np.pi * (fx * x + fy * y))
+        for _ in range(per_identity):
+            c0, c1, c2 = rng.uniform(0.7, 1.0), *rng.uniform(-0.3, 0.3, 2)
+            image = np.clip(albedo * (c0 + c1 * x + c2 * y), 0.0, 1.0).ravel()
+            hit = rng.choice(image.size, size=image.size // 10, replace=False)
+            image[hit] = rng.uniform(0.0, 1.0, hit.size)
+            columns.append(image)
+    return np.column_stack(columns)
+
+
+def solve_watching_F(monkeypatch, X, cfg, dense=False, record_lagrangian=False):
+    """(decomposition or the ToolkitError raised, per sweep: whether F kept a
+    column, whether the range phase outlived the F step).  `dense` runs on
+    the dense blocks from the first sweep."""
+    kept, in_range = [], []
+    real = solver.update_F
+
+    def spy(state):
+        F = real(state)
+        kept.append(bool(F.any()))
+        in_range.append(getattr(state, "_range", None) is not None)
+        return F
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "update_F", spy)
+        if dense:
+            m.setattr(solver, "_start_range_phase", lambda state, basis: None)
+        try:
+            result = solve(X, cfg, record_lagrangian=record_lagrangian)
+        except ToolkitError as exc:
+            result = exc
+    return result, kept, in_range
+
+
+class TestRangePhase:
+    """At d > N, `solve` holds F = 0 and Y3 in the range of X until the first
+    F step that may keep a column; a run on the dense blocks from the first
+    sweep is the reference."""
+
+    @pytest.mark.parametrize("instance", ["tall-low-rank", "random-60x8", "tiny-faces"])
+    def test_matches_dense_start(self, monkeypatch, instance):
+        X = {"tall-low-rank": lambda: reference_instance("tall-low-rank")[0],
+             "random-60x8": lambda: np.random.default_rng(0).standard_normal((60, 8)),
+             "tiny-faces": tiny_faces}[instance]()
+        cfg = SolverConfig(alpha=0.01, beta=0.01, lam=0.015)
+        new, kept, in_range = solve_watching_F(monkeypatch, X, cfg, record_lagrangian=True)
+        ref, ref_kept, ref_in_range = solve_watching_F(monkeypatch, X, cfg, dense=True,
+                                                       record_lagrangian=True)
+        assert not any(ref_in_range)
+        first = kept.index(True)
+        assert first > 50 and in_range == [True] * first + [False] * (len(kept) - first)
+        assert ref_kept.index(True) == first
+        assert new.converged and new.iterations == ref.iterations
+        if instance == "tall-low-rank":
+            assert np.linalg.norm(new.Z_star - ref.Z_star) <= 1e-10 * np.linalg.norm(ref.Z_star)
+            # The Lagrangian's Y3 terms come from coordinates in the phase.
+            np.testing.assert_allclose([p.lagrangian for p in new.trace],
+                                       [p.lagrangian for p in ref.trace], rtol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(SolverConfig(), id="default"),
+        pytest.param(SolverConfig(mu0=1.0, eta=10.0, mu_max=1e300), id="mu_max-1e300"),
+        pytest.param(SolverConfig(mu0=1e-300, eta=2.0, mu_max=1e300, max_iter=40),
+                     id="mu0-1e-300")])
+    def test_switch_is_conservative(self, monkeypatch, scale, cfg):
+        """No sweep keeps F = 0 in the range phase where the dense step keeps
+        a column, and both runs end alike."""
+        X = np.random.default_rng(0).standard_normal((60, 8)) * scale
+        with np.errstate(all="ignore"):
+            new, kept, in_range = solve_watching_F(monkeypatch, X, cfg)
+            ref, ref_kept, _ = solve_watching_F(monkeypatch, X, cfg, dense=True)
+        assert kept == ref_kept
+        assert not any(k for k, phase in zip(ref_kept, in_range) if phase)
+        if isinstance(ref, ToolkitError):
+            assert type(new) is type(ref)
+        else:
+            assert (new.iterations, new.converged) == (ref.iterations, ref.converged)
+
+    def test_phase_sweep_forms_no_dxd_array_but_L(self, monkeypatch):
+        """Every ufunc or matmul result of a phase sweep, its residual blocks,
+        Lagrangian and ascent is recorded: the one new d x d array is L.
+        After the phase each sweep forms several."""
+        d, N = 60, 8
+        made, sweeps = [], []
+
+        class Recording(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                plain = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+                if out is not None:
+                    getattr(ufunc, method)(*plain, out=tuple(o.view(np.ndarray) for o in out),
+                                           **kwargs)
+                    return out[0] if len(out) == 1 else out
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                results = result if isinstance(result, tuple) else (result,)
+                results = tuple(r.view(Recording) if isinstance(r, np.ndarray) else r
+                                for r in results)
+                made.extend(r for r in results if np.shape(r) == (d, d))
+                return results if isinstance(result, tuple) else results[0]
+
+        real_init, real_ascend = solver.init_state, solver._ascend
+
+        def init_state(X, cfg):
+            state = real_init(X, cfg)
+            for name, block in vars(state).items():
+                if isinstance(block, np.ndarray):
+                    setattr(state, name, block.view(Recording))
+            return state
+
+        def ascend(state, blocks, cfg):
+            real_ascend(state, blocks, cfg)
+            sweeps.append((getattr(state, "_range", None) is not None, list(made), state.L))
+            made.clear()
+
+        monkeypatch.setattr(solver, "_data_matrix", lambda X: X)
+        monkeypatch.setattr(solver, "init_state", init_state)
+        monkeypatch.setattr(solver, "_ascend", ascend)
+        X = np.random.default_rng(0).standard_normal((d, N)).view(Recording)
+        solve(X, SolverConfig(max_iter=125))
+        first = [phase for phase, _, _ in sweeps].index(False)
+        assert first > 50 and len(sweeps) == 125
+        for phase, new, L in sweeps[:first]:
+            assert len(new) == 1 and new[0] is L
+        assert all(len(new) >= 4 for _, new, _ in sweeps[first + 1:])
+
+    def test_phase_sweep_holds_at_most_L_in_new_memory(self, monkeypatch):
+        """tracemalloc sees every allocation, inside numpy's functions too: a
+        phase sweep with its residual blocks, Lagrangian and ascent peaks
+        below 1.5 d x d arrays (L, and d x N work), against three d x d
+        arrays or more on the dense blocks."""
+        d, N = 300, 10
+        X = np.random.default_rng(0).standard_normal((d, N))
+        peaks = {}
+        real = solver._ascend
+
+        for dense in (False, True):
+            def ascend(state, blocks, cfg):
+                if state.iter == 6:
+                    peaks[dense] = (tracemalloc.get_traced_memory()[1],
+                                    getattr(state, "_range", None) is not None)
+                real(state, blocks, cfg)
+                if state.iter == 6:
+                    tracemalloc.start()
+
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_ascend", ascend)
+                if dense:
+                    m.setattr(solver, "_start_range_phase", lambda state, basis: None)
+                try:
+                    solve(X, SolverConfig(max_iter=8))
+                finally:
+                    tracemalloc.stop()
+        dd = d * d * 8
+        assert peaks[False][1] and peaks[False][0] <= 1.5 * dd
+        assert not peaks[True][1] and peaks[True][0] >= 3 * dd, peaks[True][0] / dd
+
+    @pytest.mark.parametrize("over", [-1e-9, 1e-12])
+    def test_zero_test_at_the_threshold(self, rng, over):
+        """With the largest column norm of L + Y3/mu at (1 + over)/mu, the
+        range test agrees with the dense L2,1 prox."""
+        d, r, mu = 50, 6, 2.0
+        Q, _ = np.linalg.qr(rng.standard_normal((d, r)))
+        W, Yr = rng.standard_normal((d, r)), rng.standard_normal((d, r))
+        c = (1.0 + over) / mu / np.linalg.norm((W + Yr / mu) @ Q.T, axis=0).max()
+        W, Yr = W * c, Yr * c
+        dense = prox.column_l21_shrink(W @ Q.T + (Yr @ Q.T) / mu, 1.0 / mu)
+        assert solver._l21_prox_is_zero(Q, W, Yr, mu) == (over < 0) == (not dense.any())
+
+    @pytest.mark.parametrize("scale,entry", [(1.0, np.nan), (1.0, np.inf), (1e-157, None),
+                                             (0.0, None)])
+    def test_zero_test_answers_false_where_norms_are_unreliable(self, rng, scale, entry):
+        """Every column norm is below tau = 1, but a non-finite entry, or a
+        norm that may have underflowed, sends the step to the dense blocks."""
+        d, r = 20, 4
+        Q, _ = np.linalg.qr(rng.standard_normal((d, r)))
+        W = 1e-3 * rng.random((d, r))
+        assert solver._l21_prox_is_zero(Q, W, np.zeros((d, r)), 1.0)
+        W *= scale
+        if entry is not None:
+            W[0, 0] = entry
+        with np.errstate(invalid="ignore"):
+            assert not solver._l21_prox_is_zero(Q, W, np.zeros((d, r)), 1.0)
 
 
 class TestSvtSkip:

@@ -4,9 +4,11 @@ result or a `ToolkitError`, and the CLI exits 0 or 2.
 Matrices are 1x1 to 8x8 with entries of scale 10^k, k in [-300, 300];
 alpha, beta and lambda take the extremes 0, 1e-8 and 1e8, `mu0` 1e-6 or 1,
 and `max_iter` 1, 2 or 300, so that some solves stop unconverged.  Tall
-(d > N) float32 and integer matrices join them, so that `solve` starts in
-its range phase on inputs that are not float64.  Runs are derandomized, so
-the suite draws the same cases every time.
+(d > N) float32 and integer matrices join them, so that `solve` runs its
+column split on inputs that are not float64.  Every subcommand runs on such
+configs: `decompose` and `denoise` on a CSV of one of those matrices, and
+`classify`, `grid` and `bench-synth` on data they generate at shapes of 1 to
+8.  Runs are derandomized, so the suite draws the same cases every time.
 """
 
 import json
@@ -101,16 +103,14 @@ def test_classifier_returns_a_valid_model_or_a_toolkit_error(X, config, data):
     assert 1 <= model.iterations <= cfg.max_iter
 
 
-@SETTINGS
-@given(X=matrices(), config=configs, method=st.sampled_from(["aslrc", "latlrr"]))
-def test_cli_decompose_exits_0_or_2_and_warns_per_unconverged_solve(
-        X, config, method, tmp_path_factory, capsys):
-    where = tmp_path_factory.mktemp("decompose")
-    save_matrix_csv(X, where / "X.csv")
+def run_cli(subcommand, config, where, capsys, *args):
+    """Run `subcommand` with `config` (keyed as the solver's fields) under
+    `where`: it exits 0 with one `warning:` line per unconverged solve, or 2
+    with an `error:` line."""
     (where / "config.json").write_text(json.dumps(
-        {**{"lambda" if k == "lam" else k: v for k, v in config.items()}, "method": method}))
-    code = main(["decompose", "--config", str(where / "config.json"),
-                 "--input", str(where / "X.csv"), "--out", str(where / "out")])
+        {"lambda" if k == "lam" else k: v for k, v in config.items()}))
+    code = main([subcommand, "--config", str(where / "config.json"), *args,
+                 "--out", str(where / "out")])
     err = capsys.readouterr().err
     assert code in (0, 2)
     if code == 0:
@@ -119,3 +119,69 @@ def test_cli_decompose_exits_0_or_2_and_warns_per_unconverged_solve(
         assert len(warnings) == sum(not r["converged"] for r in solves)
     else:
         assert err.startswith("error: ")
+
+
+# Each CLI example runs up to four solves, so fewer examples than above.
+CLI_SETTINGS = settings(SETTINGS, max_examples=100)
+METHOD = st.sampled_from(["aslrc", "latlrr"])
+SHAPES = st.fixed_dictionaries({
+    "ambient": st.integers(1, 8), "subspaces": st.integers(1, 2), "sub_dim": st.integers(1, 2),
+    "n_per": st.integers(1, 4), "seed": st.integers(0, 2**16),
+})
+
+
+@SETTINGS
+@given(X=matrices(), config=configs, method=METHOD)
+def test_cli_decompose_exits_0_or_2_and_warns_per_unconverged_solve(
+        X, config, method, tmp_path_factory, capsys):
+    where = tmp_path_factory.mktemp("decompose")
+    save_matrix_csv(X, where / "X.csv")
+    run_cli("decompose", {**config, "method": method}, where, capsys,
+            "--input", str(where / "X.csv"))
+
+
+@CLI_SETTINGS
+@given(X=matrices(), config=configs, data=st.data())
+def test_cli_denoise_on_a_csv_exits_0_or_2_and_warns_per_unconverged_solve(
+        X, config, data, tmp_path_factory, capsys):
+    where = tmp_path_factory.mktemp("denoise")
+    save_matrix_csv(X, where / "X.csv")
+    protocol = data.draw(st.sampled_from(["pixels", "invert", "gaussian"]))
+    levels = st.lists(st.sampled_from([0, 10, 50, 100]), min_size=1, max_size=2)
+    run_cli("denoise", {**config, "protocol": protocol,
+                        "methods": data.draw(st.sampled_from([["aslrc"], ["aslrc", "latlrr"]])),
+                        "pct_list": data.draw(levels),
+                        "snr_list": data.draw(st.lists(st.sampled_from([-10.0, 10.0, 40.0]),
+                                                       min_size=1, max_size=2))},
+            where, capsys, "--input", str(where / "X.csv"))
+
+
+@CLI_SETTINGS
+@given(config=configs, shapes=SHAPES, method=METHOD, data=st.data())
+def test_cli_classify_exits_0_or_2_and_warns_per_unconverged_solve(
+        config, shapes, method, data, tmp_path_factory, capsys):
+    run_cli("classify", {**config, **shapes, "method": method,
+                         "data": data.draw(st.sampled_from(["blobs", "subspaces"])),
+                         "classes": data.draw(st.integers(1, 3)),
+                         "dim": data.draw(st.integers(1, 6)),
+                         "train_count": data.draw(st.integers(1, 3)),
+                         "test_count": data.draw(st.integers(1, 2)),
+                         "splits": data.draw(st.integers(1, 2))},
+            tmp_path_factory.mktemp("classify"), capsys)
+
+
+@CLI_SETTINGS
+@given(config=configs, shapes=SHAPES, data=st.data())
+def test_cli_grid_exits_0_or_2_and_warns_per_unconverged_solve(
+        config, shapes, data, tmp_path_factory, capsys):
+    run_cli("grid", {**config, **shapes, "pct": data.draw(st.sampled_from([0, 10, 50])),
+                     "grid_values": data.draw(st.lists(EXTREMES, min_size=1, max_size=2))},
+            tmp_path_factory.mktemp("grid"), capsys)
+
+
+@CLI_SETTINGS
+@given(config=configs, shapes=SHAPES, method=METHOD)
+def test_cli_bench_synth_exits_0_or_2_and_warns_per_unconverged_solve(
+        config, shapes, method, tmp_path_factory, capsys):
+    run_cli("bench-synth", {**config, **shapes, "method": method},
+            tmp_path_factory.mktemp("bench-synth"), capsys)

@@ -27,8 +27,14 @@ def copy_of_src(tmp_path):
 def test_copy_of_this_checkout_is_identical(same_output, tmp_path, capsys):
     assert same_output.main([str(copy_of_src(tmp_path)), "--size", "tiny"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "37 of 37 artifacts identical"
-    assert all(line.endswith(": identical") for line in lines[:-1])
+    assert lines[-1] == "40 of 40 artifacts identical"
+    # After each run's artifacts, its sweep counts: the same on both sides.
+    counts = [line.split(" sweeps: ") for line in lines if " sweeps: " in line]
+    assert len(counts) == 11 and "bench-synth-tall" in [run for run, _ in counts]
+    for _, both in counts:
+        base, head = both.removesuffix(" (this checkout)").split(" (base), ")
+        assert base == head and base
+    assert all(line.endswith(": identical") for line in lines[:-1] if " sweeps: " not in line)
 
 
 def test_changed_default_eta_is_flagged(same_output, tmp_path, capsys):

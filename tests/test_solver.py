@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -468,7 +469,7 @@ class TestRangeBasis:
         cfg = SolverConfig(alpha=0.01, beta=0.01, lam=0.015)
         new = solve(X, cfg, record_lagrangian=False)
         # The reference runs on the dense blocks from the first sweep: the
-        # d x d Cholesky step reads F and Y3, which the range phase leaves unformed.
+        # d x d Cholesky step reads F and Y3, which the column split holds in coordinates.
         monkeypatch.setattr(solver, "update_L", cholesky_update_L)
         monkeypatch.setattr(solver, "_start_range_phase", lambda state, basis: None)
         ref = solve(X, cfg, record_lagrangian=False)
@@ -547,15 +548,17 @@ def tiny_faces(seed=7, identities=2, per_identity=4, side=8):
 
 def solve_watching_F(monkeypatch, X, cfg, dense=False, record_lagrangian=False):
     """(decomposition or the ToolkitError raised, per sweep: whether F kept a
-    column, whether the range phase outlived the F step).  `dense` runs on
-    the dense blocks from the first sweep."""
-    kept, in_range = [], []
+    column, and how many columns the F step left in range coordinates, or
+    None without a column split).  `dense` runs on the dense blocks from the
+    first sweep."""
+    kept, held = [], []
     real = solver.update_F
 
     def spy(state):
         F = real(state)
         kept.append(bool(F.any()))
-        in_range.append(getattr(state, "_range", None) is not None)
+        split = getattr(state, "_split", None)
+        held.append(None if split is None else split.C.size)
         return F
 
     with monkeypatch.context() as m:
@@ -566,13 +569,30 @@ def solve_watching_F(monkeypatch, X, cfg, dense=False, record_lagrangian=False):
             result = solve(X, cfg, record_lagrangian=record_lagrangian)
         except ToolkitError as exc:
             result = exc
-    return result, kept, in_range
+    return result, kept, held
+
+
+# Relative rounding of an r-term dot product (r <= 10 here) that two BLAS
+# kernels may compute apart: `_max_abs` forms only a few rows and columns of
+# L_c Q_C', where `dense_blocks` forms all of them.
+DOT_ROUNDING = 4 * 12 * np.finfo(float).eps
+
+
+def dense_blocks(state, blocks):
+    """The residual blocks of a column-split state with its Y3 block d x d:
+    L_c Q_C' on the columns C and r_U on the columns U."""
+    split = state._split
+    r = split.Q.shape[1]
+    Y3 = np.empty((len(split.Q),) * 2)
+    Y3[:, split.C] = blocks["Y3"][:, :r] @ split.Qc.T
+    Y3[:, split.U] = blocks["Y3"][:, r:]
+    return {**blocks, "Y3": Y3}
 
 
 class TestRangePhase:
-    """At d > N, `solve` holds F = 0 and Y3 in the range of X until the first
-    F step that may keep a column; a run on the dense blocks from the first
-    sweep is the reference."""
+    """At d > N, `solve` holds F = 0, L and Y3 in range coordinates on every
+    column that F has not kept (the column split) for the whole solve; a run
+    on the dense blocks from the first sweep is the reference."""
 
     @pytest.mark.parametrize("instance", ["tall-low-rank", "random-60x8", "tiny-faces"])
     def test_matches_dense_start(self, monkeypatch, instance):
@@ -580,17 +600,17 @@ class TestRangePhase:
              "random-60x8": lambda: np.random.default_rng(0).standard_normal((60, 8)),
              "tiny-faces": tiny_faces}[instance]()
         cfg = SolverConfig(alpha=0.01, beta=0.01, lam=0.015)
-        new, kept, in_range = solve_watching_F(monkeypatch, X, cfg, record_lagrangian=True)
-        ref, ref_kept, ref_in_range = solve_watching_F(monkeypatch, X, cfg, dense=True,
-                                                       record_lagrangian=True)
-        assert not any(ref_in_range)
-        first = kept.index(True)
-        assert first > 50 and in_range == [True] * first + [False] * (len(kept) - first)
-        assert ref_kept.index(True) == first
+        new, kept, held = solve_watching_F(monkeypatch, X, cfg, record_lagrangian=True)
+        ref, ref_kept, ref_held = solve_watching_F(monkeypatch, X, cfg, dense=True,
+                                                   record_lagrangian=True)
+        assert ref_held == [None] * len(ref_kept)
+        # The split holds to the last sweep, and F keeps what the dense run keeps.
+        assert None not in held and held[-1] < len(X)
+        assert kept.index(True) > 50 and kept == ref_kept
         assert new.converged and new.iterations == ref.iterations
         if instance == "tall-low-rank":
             assert np.linalg.norm(new.Z_star - ref.Z_star) <= 1e-10 * np.linalg.norm(ref.Z_star)
-            # The Lagrangian's Y3 terms come from coordinates in the phase.
+            # The Lagrangian's Y3 terms on C come from coordinates.
             np.testing.assert_allclose([p.lagrangian for p in new.trace],
                                        [p.lagrangian for p in ref.trace], rtol=1e-10)
 
@@ -601,12 +621,13 @@ class TestRangePhase:
         pytest.param(SolverConfig(mu0=1e-300, eta=2.0, mu_max=1e300, max_iter=40),
                      id="mu0-1e-300")])
     def test_switch_is_conservative(self, monkeypatch, scale, cfg):
-        """No sweep keeps F = 0 in the range phase where the dense step keeps
-        a column, and both runs end alike."""
+        """No sweep keeps every column of F in range coordinates where the
+        dense step keeps a column, and both runs end alike."""
         X = np.random.default_rng(0).standard_normal((60, 8)) * scale
         with np.errstate(all="ignore"):
-            new, kept, in_range = solve_watching_F(monkeypatch, X, cfg)
+            new, kept, held = solve_watching_F(monkeypatch, X, cfg)
             ref, ref_kept, _ = solve_watching_F(monkeypatch, X, cfg, dense=True)
+        in_range = [c == len(X) for c in held]
         assert kept == ref_kept
         assert not any(k for k, phase in zip(ref_kept, in_range) if phase)
         if isinstance(ref, ToolkitError):
@@ -614,28 +635,38 @@ class TestRangePhase:
         else:
             assert (new.iterations, new.converged) == (ref.iterations, ref.converged)
 
-    def test_phase_sweep_forms_no_dxd_array_but_L(self, monkeypatch):
-        """Every ufunc or matmul result of a phase sweep, its residual blocks,
-        Lagrangian and ascent is recorded: the one new d x d array is L.
-        After the phase each sweep forms several."""
+    def test_no_sweep_forms_a_dxd_array_but_the_exact_max(self, monkeypatch):
+        """Every ufunc, matmul or numpy-function result of a sweep, its
+        residual blocks, Lagrangian and ascent is recorded.  No split sweep
+        makes a d x d array, nor any wider than its d x (r + |U|) blocks, but
+        the product L_c Q_C' that `_max_abs` forms where its bound cannot
+        settle the max; the bound settles it in most sweeps.  Every sweep on
+        the dense blocks makes several d x d arrays."""
         d, N = 60, 8
-        made, sweeps = [], []
+        made, sweeps, exact = [], [], []
 
         class Recording(np.ndarray):
             def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
                 plain = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+                kwargs = {k: v.view(np.ndarray) if isinstance(v, np.ndarray) else v
+                          for k, v in kwargs.items()}
                 if out is not None:
                     getattr(ufunc, method)(*plain, out=tuple(o.view(np.ndarray) for o in out),
                                            **kwargs)
                     return out[0] if len(out) == 1 else out
-                result = getattr(ufunc, method)(*plain, **kwargs)
-                results = result if isinstance(result, tuple) else (result,)
-                results = tuple(r.view(Recording) if isinstance(r, np.ndarray) else r
-                                for r in results)
-                made.extend(r for r in results if np.shape(r) == (d, d))
-                return results if isinstance(result, tuple) else results[0]
+                return record(getattr(ufunc, method)(*plain, **kwargs))
 
-        real_init, real_ascend = solver.init_state, solver._ascend
+            def __array_function__(self, func, types, args, kwargs):
+                return record(super().__array_function__(func, (np.ndarray,), args, kwargs))
+
+        def record(result):
+            results = result if isinstance(result, tuple) else (result,)
+            results = tuple(r.view(Recording) if isinstance(r, np.ndarray) else r
+                            for r in results)
+            made.extend(r for r in results if np.ndim(r) == 2 and len(r) == d)
+            return results if isinstance(result, tuple) else results[0]
+
+        real_init, real_ascend, real_max = solver.init_state, solver._ascend, solver._max_abs
 
         def init_state(X, cfg):
             state = real_init(X, cfg)
@@ -644,52 +675,145 @@ class TestRangePhase:
                     setattr(state, name, block.view(Recording))
             return state
 
+        def max_abs(blocks, state=None):
+            if state is None and set(blocks) == {"Y3"}:  # the exact-max product
+                exact.append(blocks["Y3"])
+            return real_max(blocks, state)
+
         def ascend(state, blocks, cfg):
             real_ascend(state, blocks, cfg)
-            sweeps.append((getattr(state, "_range", None) is not None, list(made), state.L))
+            split = getattr(state, "_split", None)
+            width = None if split is None else split.Q.shape[1] + split.U.size
+            sweeps.append((width, [a for a in made if not any(a is e for e in exact)],
+                           len(exact)))
             made.clear()
+            exact.clear()
 
         monkeypatch.setattr(solver, "_data_matrix", lambda X: X)
         monkeypatch.setattr(solver, "init_state", init_state)
         monkeypatch.setattr(solver, "_ascend", ascend)
+        monkeypatch.setattr(solver, "_max_abs", max_abs)
         X = np.random.default_rng(0).standard_normal((d, N)).view(Recording)
-        solve(X, SolverConfig(max_iter=125))
-        first = [phase for phase, _, _ in sweeps].index(False)
-        assert first > 50 and len(sweeps) == 125
-        for phase, new, L in sweeps[:first]:
-            assert len(new) == 1 and new[0] is L
-        assert all(len(new) >= 4 for _, new, _ in sweeps[first + 1:])
+        dec = solve(X, SolverConfig())
+        assert dec.converged and len(sweeps) == dec.iterations
+        for width, new, products in sweeps:
+            assert width is not None and products <= 1
+            assert all(a.shape[1] <= width for a in new), [a.shape for a in new]
+            # The recorder sees the split's blocks: L - F, at least.
+            assert any(a.shape == (d, width) for a in new)
+        assert max(width for width, _, _ in sweeps) > N + 8  # U grew
+        forming = sum(products for _, _, products in sweeps)
+        assert 0 < forming < len(sweeps)
 
-    def test_phase_sweep_holds_at_most_L_in_new_memory(self, monkeypatch):
-        """tracemalloc sees every allocation, inside numpy's functions too: a
-        phase sweep with its residual blocks, Lagrangian and ascent peaks
-        below 1.5 d x d arrays (L, and d x N work), against three d x d
-        arrays or more on the dense blocks."""
+        sweeps.clear()
+        monkeypatch.setattr(solver, "_start_range_phase", lambda state, basis: None)
+        solve(X, SolverConfig(max_iter=20))
+        assert all(len([a for a in new if a.shape == (d, d)]) >= 4 for _, new, _ in sweeps)
+
+    def test_every_sweep_holds_under_1_5_dxd_in_new_memory(self, monkeypatch):
+        """tracemalloc sees every allocation, inside numpy's functions too:
+        each split sweep with its residual blocks, Lagrangian and ascent
+        peaks below 1.5 d x d arrays of new memory, to the last sweep, with
+        U grown to a fifth of the columns; a sweep on the dense blocks takes
+        three d x d arrays or more."""
         d, N = 300, 10
         X = np.random.default_rng(0).standard_normal((d, N))
         peaks = {}
         real = solver._ascend
 
         for dense in (False, True):
+            peaks[dense] = []
+
             def ascend(state, blocks, cfg):
-                if state.iter == 6:
-                    peaks[dense] = (tracemalloc.get_traced_memory()[1],
-                                    getattr(state, "_range", None) is not None)
+                if tracemalloc.is_tracing():
+                    split = getattr(state, "_split", None)
+                    peaks[dense].append((tracemalloc.get_traced_memory()[1],
+                                         None if split is None else split.U.size))
+                    tracemalloc.stop()
                 real(state, blocks, cfg)
-                if state.iter == 6:
-                    tracemalloc.start()
+                tracemalloc.start()
 
             with monkeypatch.context() as m:
                 m.setattr(solver, "_ascend", ascend)
                 if dense:
                     m.setattr(solver, "_start_range_phase", lambda state, basis: None)
                 try:
-                    solve(X, SolverConfig(max_iter=8))
+                    dec = solve(X, SolverConfig(max_iter=300 if not dense else 8))
                 finally:
                     tracemalloc.stop()
+            if not dense:
+                assert dec.converged and len(peaks[dense]) == dec.iterations - 1
         dd = d * d * 8
-        assert peaks[False][1] and peaks[False][0] <= 1.5 * dd
-        assert not peaks[True][1] and peaks[True][0] >= 3 * dd, peaks[True][0] / dd
+        assert max(p for p, _ in peaks[False]) <= 1.5 * dd
+        assert None not in [u for _, u in peaks[False]] and peaks[False][-1][1] > d / 5
+        assert all(u is None and p >= 3 * dd for p, u in peaks[True])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
+    @pytest.mark.parametrize("instance", ["random-60x8", "tiny-faces"])
+    def test_trace_residual_is_the_max_over_the_dense_blocks(self, monkeypatch, instance,
+                                                             scale):
+        """Each sweep's residual, with the Y3 block's part on C bounded or
+        formed (`_max_abs`), equals the max over the residual blocks with
+        that block assembled d x d from the split, up to the rounding of an
+        r-term dot product."""
+        X = {"random-60x8": lambda: np.random.default_rng(0).standard_normal((60, 8)),
+             "tiny-faces": tiny_faces}[instance]() * scale
+        dense_max = []
+        real = solver._ascend
+
+        def ascend(state, blocks, cfg):
+            dense_max.append(solver._max_abs(dense_blocks(state, blocks)))
+            real(state, blocks, cfg)
+
+        monkeypatch.setattr(solver, "_ascend", ascend)
+        dec = solve(X, SolverConfig(), record_lagrangian=False)
+        assert dec.converged
+        np.testing.assert_allclose([p.residual for p in dec.trace], dense_max,
+                                   rtol=DOT_ROUNDING, atol=0.0)
+
+    def test_salient_of_a_split_state_without_its_product(self, monkeypatch):
+        """A copy of a split state holds no L @ X for its own L, so `_salient`
+        forms it from the coordinates; it matches the W B of the L step and
+        the output's L_star @ X."""
+        X = np.random.default_rng(0).standard_normal((60, 8))
+        real, seen = solver._ascend, []
+
+        def ascend(state, blocks, cfg):
+            if state.iter == 150:
+                seen.append((copy.deepcopy(state), state._lx[2]))
+            real(state, blocks, cfg)
+
+        monkeypatch.setattr(solver, "_ascend", ascend)
+        solve(X)
+        state, LX = seen[0]
+        assert state._split.U.size and state._lx[1] is not X
+        salient = solver._salient(state, X)
+        np.testing.assert_allclose(salient, LX, rtol=1e-12, atol=1e-12 * np.abs(LX).max())
+        L = solver._decomposition(X, state, [], False).L_star
+        np.testing.assert_allclose(salient, L @ X, rtol=1e-12, atol=1e-12 * np.abs(LX).max())
+
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e150])
+    def test_max_abs_where_the_bound_is_tight(self, rng, scale):
+        """A row of L_c parallel to a row of Q_C makes the Cauchy-Schwarz
+        bound tight.  With the other blocks' max just below the max over the
+        blocks assembled d x d, or at 0.9 of it, or with squares that
+        underflow, `_max_abs` still finds that max, up to the rounding of an
+        r-term dot product (BLAS may round a product of a few rows apart
+        from the whole product)."""
+        d, r = 30, 4
+        for _ in range(50):
+            Q, _ = np.linalg.qr(rng.standard_normal((d, r)))
+            split = solver._column_split(Q, np.array([1, 3]))
+            Lc = 0.01 * rng.standard_normal((d, r))
+            Lc[5] = 3.0 * split.Qc[7]
+            Lc *= scale
+            blocks = {"Y3": np.hstack([Lc, 1e-3 * scale * rng.standard_normal((d, 2))])}
+            state = SimpleNamespace(_split=split)
+            top = solver._max_abs(dense_blocks(state, blocks))
+            for other in (np.nextafter(top, 0.0), 0.9 * top):
+                blocks["Y1"] = np.full((2, 2), other)
+                found = solver._max_abs(blocks, state)
+                assert found == pytest.approx(top, rel=DOT_ROUNDING, abs=0.0)
 
     @pytest.mark.parametrize("over", [-1e-9, 1e-12])
     def test_zero_test_at_the_threshold(self, rng, over):
@@ -701,22 +825,70 @@ class TestRangePhase:
         c = (1.0 + over) / mu / np.linalg.norm((W + Yr / mu) @ Q.T, axis=0).max()
         W, Yr = W * c, Yr * c
         dense = prox.column_l21_shrink(W @ Q.T + (Yr @ Q.T) / mu, 1.0 / mu)
-        assert solver._l21_prox_is_zero(Q, W, Yr, mu) == (over < 0) == (not dense.any())
+        assert solver._l21_zero_columns(Q, W, Yr, mu).all() == (over < 0) == (not dense.any())
+
+    def test_promotes_each_column_the_dense_prox_may_keep(self, rng):
+        """Column norms of L + Y3/mu set one by one at (1 - 1e-9)/mu,
+        (1 + 1e-12)/mu, 0.5/mu and 2/mu: the F step rules out exactly the
+        columns that the dense prox zeroes, promotes the others, and its F
+        assembled d x d is that prox."""
+        d, r, mu = 40, 5, 2.0
+        Q, _ = np.linalg.qr(rng.standard_normal((d, r)))
+        W, Yr = rng.standard_normal((d, r)), rng.standard_normal((d, r))
+        norms = np.linalg.norm((W + Yr / mu) @ Q.T, axis=0)
+        factor = np.array([1 - 1e-9, 1 + 1e-12, 0.5, 2.0])[np.arange(d) % 4]
+        W, Yr = W * (2.0 / mu / norms.min()), Yr * (2.0 / mu / norms.min())
+        norms = np.linalg.norm((W + Yr / mu) @ Q.T, axis=0)
+        Q = Q * (factor / mu / norms)[:, None]  # rows of norm below 1
+        dense = prox.column_l21_shrink(W @ Q.T + (Yr @ Q.T) / mu, 1.0 / mu)
+        keeps = dense.any(axis=0)
+        assert keeps.tolist() == (factor > 1).tolist()
+        assert solver._l21_zero_columns(Q, W, Yr, mu).tolist() == (~keeps).tolist()
+
+        state = SimpleNamespace(L=W.copy(), Y3=Yr.copy(), F=np.zeros((d, r)), mu=mu,
+                                _lx=(W, None, None),
+                                _split=solver._column_split(Q, np.zeros(0, dtype=np.intp)))
+        F = solver.update_F(state)
+        split = state._split
+        assert sorted(split.U) == np.flatnonzero(keeps).tolist()
+        assert not F[:, :r].any() and F.shape == (d, r + split.U.size)
+        assembled = np.zeros((d, d))
+        assembled[:, split.U] = F[:, r:]
+        np.testing.assert_allclose(assembled, dense, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("scale,entry", [(1.0, np.nan), (1.0, np.inf), (1e-157, None),
                                              (0.0, None)])
     def test_zero_test_answers_false_where_norms_are_unreliable(self, rng, scale, entry):
         """Every column norm is below tau = 1, but a non-finite entry, or a
-        norm that may have underflowed, sends the step to the dense blocks."""
+        norm that may have underflowed, leaves no column ruled out."""
         d, r = 20, 4
         Q, _ = np.linalg.qr(rng.standard_normal((d, r)))
         W = 1e-3 * rng.random((d, r))
-        assert solver._l21_prox_is_zero(Q, W, np.zeros((d, r)), 1.0)
+        assert solver._l21_zero_columns(Q, W, np.zeros((d, r)), 1.0).all()
         W *= scale
         if entry is not None:
             W[0, 0] = entry
         with np.errstate(invalid="ignore"):
-            assert not solver._l21_prox_is_zero(Q, W, np.zeros((d, r)), 1.0)
+            assert not solver._l21_zero_columns(Q, W, np.zeros((d, r)), 1.0).any()
+
+    @pytest.mark.parametrize("column", [0, -1], ids=["coordinates", "dense-column"])
+    def test_nan_in_split_raises_in_its_sweep(self, monkeypatch, column):
+        """A NaN written into L's coordinates or into one of its dense columns
+        after U has grown raises NumericalError in that sweep."""
+        X = np.random.default_rng(0).standard_normal((60, 8))
+        real, sweeps = solver.update_L, []
+
+        def poisoned(state, *args, **kwargs):
+            L = real(state, *args, **kwargs)
+            sweeps.append(state._split.U.size)
+            if len(sweeps) == 150:
+                L[0, column] = np.nan
+            return L
+
+        monkeypatch.setattr(solver, "update_L", poisoned)
+        with pytest.raises(NumericalError) as raised:
+            solve(X)
+        assert sweeps[-1] > 0 and len(sweeps) == 150 and raised.value.iteration == 149
 
 
 class TestSvtSkip:

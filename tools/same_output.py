@@ -14,8 +14,9 @@ fresh `python -m lolrec.cli` process without perfbench's thread variables
 Each artifact is reported `identical`, or for a CSV by the largest
 difference of its numbers relative to the largest |entry| of BASE's file.
 Manifests are compared on `summary`, `solves` without `wall_s`, and
-`config_hash`.  The exit status is 0 only when every run exits 0 on both
-sides and every artifact is identical.
+`config_hash`.  After a run's artifacts, one line gives the sweep count of
+each of its solves on both sides.  The exit status is 0 only when every run
+exits 0 on both sides and every artifact is identical.
 """
 
 import argparse
@@ -47,6 +48,8 @@ EXTRA = {
     "classify-subspaces": ("classify", None, {"data": "subspaces", "splits": 3}),
     "classify-latlrr": ("classify", None, {"method": "latlrr", "splits": 3}),
     "bench-synth-latlrr": ("bench-synth", "bench-synth", {"method": "latlrr"}),
+    # d > N (100 x 24), with the Lagrangian recorded in trace.csv.
+    "bench-synth-tall": ("bench-synth", None, {"ambient": 100, "subspaces": 4, "n_per": 6}),
 }
 
 MANIFEST_KEYS = ("summary", "solves", "config_hash")
@@ -128,6 +131,11 @@ def manifest_view(path):
     return {k: m[k] for k in MANIFEST_KEYS}
 
 
+def sweeps(out):
+    """The sweep count of each solve in the manifest under `out`."""
+    return [r["iterations"] for r in json.loads((out / "manifest.json").read_text())["solves"]]
+
+
 def compare(workloads, a, b):
     """One (artifact, verdict) per file in either directory; the verdict of
     a same file is "identical"."""
@@ -190,11 +198,13 @@ def main(argv=None):
                 print(f"{name}: exit {codes[0][0]} (base), {codes[1][0]} (this checkout): "
                       + " / ".join(line for _, line in codes if line))
                 continue
-            for artifact, verdict in compare(workloads, tmp / "out" / "base" / name,
-                                             tmp / "out" / "head" / name):
+            outs = [tmp / "out" / tree / name for tree in trees]
+            for artifact, verdict in compare(workloads, *outs):
                 total += 1
                 same += verdict == "identical"
                 print(f"{name}/{artifact}: {verdict}")
+            counts = [", ".join(map(str, sweeps(out))) for out in outs]
+            print(f"{name} sweeps: {counts[0]} (base), {counts[1]} (this checkout)")
         print(f"{same} of {total} artifacts identical")
     return 0 if same == total else 1
 

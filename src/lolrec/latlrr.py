@@ -16,9 +16,9 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .prox import svt, thin_svd, weighted_shrink
-from .solver import (SolverConfig, _add_div, _data_matrix, _decomposition,
-                     _lrr_residual_blocks, _penalized, _run_alm, _salient, _solve_L,
-                     _spd_factor, _zero_state, cho_solve)
+from .solver import (SolverConfig, _add_div, _data_matrix, _decomposition, _geometry,
+                     _lrr_residual_blocks, _run_alm, _salient, _solve_L, _spd_factor,
+                     _zero_state, cho_solve)
 
 
 def latlrr_lagrangian(state, X, lam, blocks=None):
@@ -32,7 +32,7 @@ def latlrr_lagrangian(state, X, lam, blocks=None):
     value = ((thin_svd(state.J)[1].sum() if state.J.any() else 0.0)
              + (thin_svd(state.F)[1].sum() if state.F.any() else 0.0)
              + lam * np.abs(state.E).sum())
-    return _penalized(value, state, blocks)
+    return _geometry(state).penalized(value, state, blocks)
 
 
 @one_blas_thread()

@@ -13,21 +13,17 @@ the zero start (`_zero_state`), the ALM loop (`_run_alm`), the L step
 (`_solve_L`), L @ X (`_salient`) and the residuals of X = XZ + LX + E, J = Z
 and F = L (`_lrr_residual_blocks`).
 
-At d > N, ASLRC's `solve` holds L, F and Y3 in a column split
-(`_start_range_phase`).  With X = QB the reduced QR (Q d x r, r = N < d),
-let U be the columns that F has kept, or that the F step could not rule out,
-and C the others; U starts empty, grows and never shrinks.  On C, F = 0,
-Y3 = Y~ Q_C' and L = L_c Q_C' (Q_C the rows C of Q), so each block is held
-as d x (r + |U|) coordinates: the d x r factor (L_c, Y~, 0) first, then the
-dense columns U, in column-major order so that the columns U are one
-contiguous block.  The state's private `_split` holds Q, U, C and the rows
-of Q they select.  The L step solves in those coordinates, the F step tests
-each column of C for a zero L2,1 prox from an r x r Gram matrix and moves
-any it cannot rule out into U (`_promote`), the Y3 residual L - F and the
-ascent Y3 + mu (L - F) are the same sums on coordinates, and the residual
-max bounds the C part instead of forming it.  L's d x d form is built once,
-for the output.  States that callers build have no `_split`, and d <= N
-solves run on the dense blocks.
+How a state holds L, F and Y3 is its geometry, read in one place
+(`_geometry`) by every step that depends on it.  `_Dense` holds them as
+d x d arrays: every d <= N solve, LatLRR, and every state a caller builds
+(`init_state`).  At d > N, ASLRC's `solve` starts in a `_ColumnSplit`.
+With X = QB the reduced QR (Q d x r, r = N < d), let U be the columns that
+F has kept, or that the F step could not rule out, and C the others; U
+starts empty, grows and never shrinks.  On C, F = 0, Y3 = Y~ Q_C' and
+L = L_c Q_C' (Q_C the rows C of Q), so each block is held column-major as
+d x (r + |U|) coordinates: the d x r factor (L_c, Y~, 0), then the columns
+U in one contiguous block.  The Y3 residual L - F and the ascent
+Y3 + mu (L - F) are the same sums on coordinates.
 """
 
 import numbers
@@ -94,12 +90,17 @@ def _zero_state(cfg, **shapes):
                            mu=cfg.mu0, iter=0)
 
 
+def _aslrc_state(cfg, d, N, width):
+    """ASLRC's all-zero start with L, F and Y3 d x width."""
+    nn, dn, dw = (N, N), (d, N), (d, width)
+    return _zero_state(cfg, Z=nn, J=nn, Q=nn, R=nn, S=nn, W=nn,
+                       L=dw, F=dw, E=dn, Y1=dn, Y2=nn, Y3=dw, Y4=nn, Y5=nn, Y6=nn)
+
+
 def init_state(X, cfg=None):
-    """ASLRC's all-zero starting point with mu = mu0."""
+    """ASLRC's all-zero starting point with mu = mu0, L, F and Y3 d x d."""
     d, N = np.asarray(X).shape
-    nn, dd, dn = (N, N), (d, d), (d, N)
-    return _zero_state(cfg or SolverConfig(), Z=nn, J=nn, Q=nn, R=nn, S=nn, W=nn,
-                       L=dd, F=dd, E=dn, Y1=dn, Y2=nn, Y3=dd, Y4=nn, Y5=nn, Y6=nn)
+    return _aslrc_state(cfg or SolverConfig(), d, N, d)
 
 
 def _lower_inverse(C):
@@ -156,6 +157,185 @@ def _add_div(A, B, c):
     return out
 
 
+class _Dense:
+    """L, F and Y3 held as d x d arrays: each step's expressions on them."""
+
+    def solve_L(self, state, P, basis, T):
+        Q, B = basis
+        H = _add_div(state.F, state.Y3, -state.mu)
+        HQ = H @ Q
+        W = ((P @ B.T + state.mu * HQ) @ T.T) @ T
+        if Q.shape[1] == Q.shape[0]:
+            # Q is square, so I - QQ' = 0: H - HQQ' would add only rounding, of
+            # size eps |H|, to L's components that K scales up.
+            return W @ Q.T, W
+        L = (W - HQ) @ Q.T
+        L += H
+        return L, W
+
+    def salient(self, L, X):
+        return L @ X
+
+    def update_F(self, state):
+        M = _add_div(state.L, state.Y3, state.mu)
+        M *= _l21_scale(M, 1.0 / state.mu)
+        return M
+
+    def max_abs(self, blocks):
+        return float(np.max([max(b.max(), -b.min()) if b.size else 0.0 for b in blocks.values()]))
+
+    def F_norms(self, F):
+        return np.linalg.norm(F, axis=0)
+
+    def penalized(self, value, state, blocks):
+        """Add each block's multiplier term <Y, r> and penalty (mu/2)||r||^2."""
+        for name, r in blocks.items():
+            value += np.sum(getattr(state, name) * r) + 0.5 * state.mu * np.linalg.norm(r, "fro") ** 2
+        return float(value)
+
+    def dense_L(self, L):
+        return L
+
+
+_DENSE = _Dense()
+
+
+def _l21_zero_columns(Q, W, Yr, mu):
+    """Which columns of the L2,1 prox at tau = 1/mu of L + Y3/mu = A Q' are
+    certainly zero, for L = W Q', Y3 = Yr Q' and A = W + Yr/mu, without
+    forming A Q': one flag per row of Q.
+
+    Column j of A Q' is A q_j, with q_j row j of Q, so its squared norm is
+    q_j G q_j' for the r x r G = A'A.  Each q_j has norm at most 1, so those
+    values are off by at most about (d + 2r) eps tr(G), for d the rows of W.
+    The dense step forms L + Y3/mu with entry errors up to
+    (r + 2) eps (|W| + |Yr|/mu) |Q|', which moves a column norm by up to
+    (r + 2) eps (||W|| + ||Yr||/mu), and its own norms carry (d + 2) eps.
+    The test allows twice each of these first-order bounds.  A column whose
+    norm is not finite or below 1e-150 (where `_l21_scale` rescales, and a
+    square may have underflowed) is not ruled out.
+    """
+    d, r = W.shape
+    A = _add_div(W, Yr, mu)
+    G = A.T @ A
+    norms2 = np.einsum("ij,ij->i", Q @ G, Q)
+    u = 2.0 * (d + 2 * r + 4) * np.finfo(float).eps
+    tops = (np.sqrt(norms2 + u * np.trace(G))
+            + u * (np.linalg.norm(W) + np.linalg.norm(Yr) / mu))
+    return (norms2 >= 1e-300) & (tops * (1.0 + u) <= 1.0 / mu)
+
+
+class _ColumnSplit:
+    """ASLRC's column split (module docstring) for the dense columns U, in
+    the order their coordinates are held; Q_U and Q_C are the rows U and C
+    of Q, and qn the row norms of Q_C, each square at least 1e-300."""
+
+    def __init__(self, Q, U):
+        self.Q, self.U, self.r, self.C = Q, U, Q.shape[1], np.setdiff1d(np.arange(len(Q)), U)
+        self.Qu, self.Qc = Q[U], Q[self.C]
+        self.Pu = self.Qu.T @ self.Qu
+        self.qn = np.sqrt(np.maximum(np.einsum("ij,ij->i", self.Qc, self.Qc), 1e-300))
+
+    def solve_L(self, state, P, basis, T):
+        """H = F - Y3/mu is H_U on U and -Y~ Q_C'/mu on C; Q_C'Q_C = I - P_U, so
+            W = (P B' + mu H_U Q_U - Y~ + Y~ P_U) K^-1,
+            L_c = W - H_U Q_U - Y~ P_U/mu,    L_U = H_U + (L_c + Y~/mu) Q_U',
+        and L = [L_c, L_U] in coordinates; L X = W B still.  While U is
+        empty, W = (P B' - Y~) K^-1 and L_c = W.  No product is d x d: the
+        widest are the two d x |U| x r ones."""
+        B, mu, r = basis[1], state.mu, self.r
+        if not self.U.size:
+            W = ((P @ B.T - state.Y3) @ T.T) @ T
+            return W, W
+        Yc = state.Y3[:, :r]
+        Hu = _add_div(state.F[:, r:], state.Y3[:, r:], -mu)
+        HuQu, YP = Hu @ self.Qu, Yc @ self.Pu
+        W = ((P @ B.T + mu * HuQu - Yc + YP) @ T.T) @ T
+        L = np.empty_like(state.Y3, order="F")
+        Lc = L[:, :r]
+        np.subtract(W, HuQu, out=Lc)
+        Lc -= YP / mu
+        np.matmul(_add_div(Lc, Yc, mu), self.Qu.T, out=L[:, r:])
+        L[:, r:] += Hu
+        return L, W
+
+    def salient(self, L, X):
+        """L_c Q_C' X_C + L_U X_U, X_C and X_U the rows C and U of X."""
+        return L[:, :self.r] @ (self.Qc.T @ X[self.C]) + L[:, self.r:] @ X[self.U]
+
+    def update_F(self, state):
+        """F stays zero on the columns that `_l21_zero_columns` rules out.  The
+        others join U: L and Y3 take them as the dense columns L_c q_j and
+        Y~ q_j, and the dense step runs on the columns U only, into a
+        column-major F whose d x r factor is zero."""
+        r, mu = self.r, state.mu
+        zero = _l21_zero_columns(self.Qc, state.L[:, :r], state.Y3[:, :r], mu)
+        if not zero.all():
+            QJ = self.Q[self.C[~zero]].T
+            for name in ("L", "Y3"):
+                M = getattr(state, name)
+                out = np.empty_like(M, shape=(M.shape[0], M.shape[1] + QJ.shape[1]), order="F")
+                out[:, :M.shape[1]] = M
+                np.matmul(M[:, :r], QJ, out=out[:, M.shape[1]:])
+                setattr(state, name, out)
+            # The same L in new coordinates: L @ X, which `_solve_L` left, still holds.
+            state._lx = (state.L, *state._lx[1:])
+            state._split = _ColumnSplit(self.Q, np.concatenate([self.U, self.C[~zero]]))
+        elif not self.U.size:
+            return state.F
+        F = np.zeros(state.Y3.shape, order="F")
+        Fu = np.divide(state.Y3[:, r:], mu, out=F[:, r:])
+        Fu += state.L[:, r:]
+        Fu *= _l21_scale(Fu, 1.0 / mu)
+        return F
+
+    def max_abs(self, blocks):
+        """The Y3 block is [L_c, r_U]; entry (i, j) of its part on C, L_c Q_C',
+        is at most ||l_i|| ||q_j|| (rows of L_c and Q_C).  Only the rows and
+        columns where that bound, with twice the first-order rounding of the
+        product and of both norms as a margin, reaches the max of every other
+        block are formed.  Each squared norm is at least 1e-300, so no
+        underflow lowers the bound; NaN is never ruled out."""
+        r = self.r
+        Lc = blocks["Y3"][:, :r]
+        top = _DENSE.max_abs({**blocks, "Y3": blocks["Y3"][:, r:]})
+        ln = (np.sqrt(np.maximum(np.einsum("ij,ij->i", Lc, Lc), 1e-300))
+              * (1.0 + 4 * (r + 2) * np.finfo(float).eps))
+        rows = ~(ln * self.qn.max(initial=0.0) < top)
+        cols = ~(ln.max() * self.qn < top)
+        if rows.any() and cols.any():
+            top = float(np.max([top, _max_abs({"Y3": Lc[rows] @ self.Qc[cols].T})]))
+        return top
+
+    def F_norms(self, F):
+        """F is zero on C; the norms of its columns U take no d x |U| temporary."""
+        Fu = F[:, self.r:]
+        return np.sqrt(np.einsum("ij,ij->j", Fu, Fu))
+
+    def penalized(self, value, state, blocks):
+        """On C, <Y~ Q_C', L_c Q_C'> and ||L_c Q_C'||^2 are Gram forms with
+        Q_C'Q_C; while U is empty, Q'Q = I reads them off the coordinates."""
+        if self.U.size:
+            Yc, rc = state.Y3[:, :self.r], blocks["Y3"][:, :self.r]
+            Yu, ru = state.Y3[:, self.r:], blocks["Y3"][:, self.r:]
+            G = self.Qc.T @ self.Qc
+            value += (np.sum((Yc.T @ rc) * G) + np.einsum("ij,ij->", Yu, ru)
+                      + 0.5 * state.mu * (np.sum((rc.T @ rc) * G) + np.einsum("ij,ij->", ru, ru)))
+            blocks = {name: b for name, b in blocks.items() if name != "Y3"}
+        return _DENSE.penalized(value, state, blocks)
+
+    def dense_L(self, L):
+        """L_c Q' with the columns U replaced."""
+        out = L[:, :self.r] @ self.Q.T
+        out[:, self.U] = L[:, self.r:]
+        return out
+
+
+def _geometry(state):
+    """How `state` holds L, F and Y3: its `_ColumnSplit`, or `_DENSE`."""
+    return getattr(state, "_split", _DENSE)
+
+
 def _solve_L(state, X, basis, extra=0.0):
     """The L step of both models: minimize the Lagrangian over L by solving
     L M = P X' + mu H in the range of X.  Returns L, and leaves
@@ -172,49 +352,14 @@ def _solve_L(state, X, basis, extra=0.0):
     which is W Q' when r = d.  Since X = QB and Q'Q = I,
         L X = HQB + (W - HQ) Q'QB = W B,
     so L @ X costs a d x r by r x N product instead of a d x d by d x N one.
-    For d > N the step makes two d x d x r products: HQ and (W - HQ) Q'.
-
-    In ASLRC's column split (module docstring), H = F - Y3/mu is H_U on U
-    and -Y~ Q_C'/mu on C, so with P_U = Q_U'Q_U (Q_C'Q_C = I - P_U)
-        W = (P B' + mu H_U Q_U - Y~ + Y~ P_U) K^-1,
-        L_c = W - H_U Q_U - Y~ P_U/mu,    L_U = H_U + (L_c + Y~/mu) Q_U',
-    and L = [L_c, L_U] is returned in coordinates; L X = W B still.  While U
-    is empty, W = (P B' - Y~) K^-1 and L_c = W.  No product is d x d: the
-    widest are the two d x |U| x r ones.
+    On dense blocks at d > N it makes two d x d x r products: HQ and (W - HQ) Q'.
     """
-    Q, B = basis
-    mu = state.mu
+    B, mu = basis[1], state.mu
     P = state.Y1 + mu * (X - X @ state.Z - state.E)
     K = mu * (np.eye(B.shape[0]) + B @ B.T) + extra
     # W K = P B' + mu HQ, so W = (P B' + mu HQ) K^-1 = (P B' + mu HQ) T'T
     # with T = `_spd_factor(K)`: two d x r by r x r products, no transpose.
-    T = _spd_factor(K)
-    split = getattr(state, "_split", None)
-    if split is None:
-        H = _add_div(state.F, state.Y3, -mu)
-        HQ = H @ Q
-        W = ((P @ B.T + mu * HQ) @ T.T) @ T
-        if Q.shape[1] == Q.shape[0]:
-            # Q is square, so I - QQ' = 0: H - HQQ' would add only rounding, of
-            # size eps |H|, to L's components that K scales up.
-            L = W @ Q.T
-        else:
-            L = (W - HQ) @ Q.T
-            L += H
-    elif not split.U.size:
-        L = W = ((P @ B.T - state.Y3) @ T.T) @ T
-    else:
-        r = Q.shape[1]
-        Yc = state.Y3[:, :r]
-        Hu = _add_div(state.F[:, r:], state.Y3[:, r:], -mu)
-        HuQu, YP = Hu @ split.Qu, Yc @ split.Pu
-        W = ((P @ B.T + mu * HuQu - Yc + YP) @ T.T) @ T
-        L = np.empty_like(state.Y3, order="F")
-        Lc = L[:, :r]
-        np.subtract(W, HuQu, out=Lc)
-        Lc -= YP / mu
-        np.matmul(_add_div(Lc, Yc, mu), split.Qu.T, out=L[:, r:])
-        L[:, r:] += Hu
+    L, W = _geometry(state).solve_L(state, P, basis, _spd_factor(K))
     state._lx = (L, X, W @ B)
     return L
 
@@ -233,23 +378,15 @@ def update_L(state, X, cfg, basis=None):
 def _salient(state, X):
     """L @ X for the state's current L and X.
 
-    `_solve_L` writes the state's `_lx` (absent until the first L step): it
-    leaves (L, X, W B) there, and the later block updates, the residuals,
-    the Lagrangian and `_decomposition` reuse that product; `_promote`, which
-    rewrites the same L in wider coordinates, keys it to the new array.
-    Every update returns a new array, so a state whose L has been replaced
-    by other means (or a new X) gets a fresh product here; in ASLRC's column
-    split (module docstring) it is L_c Q_C' X_C + L_U X_U, X_C and X_U the
-    rows C and U of X.
+    `_solve_L` leaves (L, X, W B) in the state's `_lx` (absent until the
+    first L step) for the later steps; a promotion to U, which rewrites the
+    same L in wider coordinates, keys it to the new array.  A state whose L
+    was replaced by other means (or a new X) gets a fresh product here.
     """
     cached = getattr(state, "_lx", None)
     if cached is not None and cached[0] is state.L and cached[1] is X:
         return cached[2]
-    split = getattr(state, "_split", None)
-    if split is None:
-        return state.L @ X
-    r = split.Q.shape[1]
-    return state.L[:, :r] @ (split.Qc.T @ X[split.C]) + state.L[:, r:] @ X[split.U]
+    return _geometry(state).salient(state.L, X)
 
 
 def update_Z(state, X, zfactor=None):
@@ -300,85 +437,9 @@ def update_J(state):
     return svt(state.Z + state.Y2 / state.mu, 1.0 / state.mu)
 
 
-def _l21_zero_columns(Q, W, Yr, mu):
-    """Which columns of the L2,1 prox at tau = 1/mu of L + Y3/mu = A Q' are
-    certainly zero, for L = W Q', Y3 = Yr Q' and A = W + Yr/mu, without
-    forming A Q': one flag per row of Q.
-
-    Column j of A Q' is A q_j, with q_j row j of Q, so its squared norm is
-    q_j G q_j' for the r x r G = A'A.  Each q_j has norm at most 1, so those
-    values are off by at most about (d + 2r) eps tr(G), for d the rows of W.
-    The dense step forms L + Y3/mu with entry errors up to
-    (r + 2) eps (|W| + |Yr|/mu) |Q|', which moves a column norm by up to
-    (r + 2) eps (||W|| + ||Yr||/mu), and its own norms carry (d + 2) eps.
-    The test allows twice each of these first-order bounds.  A column whose
-    norm is not finite or below 1e-150 (where `_l21_scale` rescales, and a
-    square may have underflowed) is not ruled out.
-    """
-    d, r = W.shape
-    A = _add_div(W, Yr, mu)
-    G = A.T @ A
-    norms2 = np.einsum("ij,ij->i", Q @ G, Q)
-    u = 2.0 * (d + 2 * r + 4) * np.finfo(float).eps
-    tops = (np.sqrt(norms2 + u * np.trace(G))
-            + u * (np.linalg.norm(W) + np.linalg.norm(Yr) / mu))
-    return (norms2 >= 1e-300) & (tops * (1.0 + u) <= 1.0 / mu)
-
-
-def _column_split(Q, U):
-    """ASLRC's column split (module docstring) for the dense columns U, in
-    the order their coordinates are held: C, the rows Q_U and Q_C of Q,
-    P_U = Q_U'Q_U, and the row norms of Q_C, each squared norm taken as at
-    least 1e-300 (`_max_abs`)."""
-    C = np.setdiff1d(np.arange(Q.shape[0]), U)
-    Qu, Qc = Q[U], Q[C]
-    return SimpleNamespace(Q=Q, U=U, C=C, Qu=Qu, Qc=Qc, Pu=Qu.T @ Qu,
-                           qn=np.sqrt(np.maximum(np.einsum("ij,ij->i", Qc, Qc), 1e-300)))
-
-
-def _promote(state, columns):
-    """Move `columns` of C into U: they join L and Y3 as the dense columns
-    L_c q_j and Y~ q_j; F's, zero on C, is recomputed by the F step."""
-    split = state._split
-    r = split.Q.shape[1]
-    QJ = split.Q[columns].T
-
-    def widened(M):
-        out = np.empty_like(M, shape=(M.shape[0], M.shape[1] + QJ.shape[1]), order="F")
-        out[:, :M.shape[1]] = M
-        np.matmul(M[:, :r], QJ, out=out[:, M.shape[1]:])
-        return out
-
-    state.L = widened(state.L)
-    # The same L in new coordinates: L @ X, which `_solve_L` left, still holds.
-    state._lx = (state.L, *state._lx[1:])
-    state.Y3 = widened(state.Y3)
-    state._split = _column_split(split.Q, np.concatenate([split.U, columns]))
-
-
 def update_F(state):
-    """L2,1 prox: column shrink of L + Y3/mu at 1/mu, scaling that fresh sum in place.
-
-    In ASLRC's column split (module docstring) the columns C of F stay zero
-    while `_l21_zero_columns` shows that they shrink to zero; `_promote`
-    moves every other column into U.  Then the dense step runs on the
-    columns U only, and returns F in coordinates, its d x r factor zero.
-    """
-    split = getattr(state, "_split", None)
-    if split is not None:
-        r = split.Q.shape[1]
-        zero = _l21_zero_columns(split.Qc, state.L[:, :r], state.Y3[:, :r], state.mu)
-        if not zero.all():
-            _promote(state, split.C[~zero])
-        elif not split.U.size:
-            return state.F
-    M = _add_div(state.L, state.Y3, state.mu)
-    if split is None:
-        M *= _l21_scale(M, 1.0 / state.mu)
-    else:
-        M[:, :r] = 0.0
-        M[:, r:] *= _l21_scale(M[:, r:], 1.0 / state.mu)
-    return M
+    """L2,1 prox: column shrink of L + Y3/mu at 1/mu, scaling that fresh sum in place."""
+    return _geometry(state).update_F(state)
 
 
 def update_S(state, cfg):
@@ -394,9 +455,7 @@ def update_E(state, X, cfg):
 
 def _lrr_residual_blocks(state, X):
     """The residuals of X = XZ + LX + E, J = Z and F = L that both models
-    share, keyed by the multiplier that prices each.  In ASLRC's column
-    split L and F are coordinates (module docstring), and so is L - F: L_c
-    on C, then the dense columns U."""
+    share, keyed by the multiplier that prices each."""
     return {"Y1": X - X @ state.Z - _salient(state, X) - state.E,
             "Y2": state.Z - state.J,
             "Y3": state.L - state.F}
@@ -411,32 +470,10 @@ def _residual_blocks(state, X):
 
 
 def _max_abs(blocks, state=None):
-    """Max entrywise-infinity norm over residual blocks (0 for empty ones); NaN propagates.
-
-    max |b| is taken as max(b.max(), -b.min()), which writes no |b|; a NaN in
-    b makes both NaN.  In the column split of `state` (module docstring) the
-    Y3 block is [L_c, r_U], and its part on C is L_c Q_C'.  Entry (i, j) of
-    that part is at most ||l_i|| ||q_j|| (rows of L_c and Q_C), so only the
-    rows and columns where that bound, with twice the first-order rounding
-    of the product and of both norms as a margin, is not below the max of
-    every other block are formed, and none when the bound settles the max.
-    Each squared norm is taken as at least 1e-300, so that an underflowed
-    square cannot lower the bound; a NaN or inf is never ruled out.
-    """
-    split = getattr(state, "_split", None)
-    if split is not None:
-        r = split.Q.shape[1]
-        Lc = blocks["Y3"][:, :r]
-        blocks = {**blocks, "Y3": blocks["Y3"][:, r:]}
-    top = float(np.max([max(b.max(), -b.min()) if b.size else 0.0 for b in blocks.values()]))
-    if split is not None:
-        ln = (np.sqrt(np.maximum(np.einsum("ij,ij->i", Lc, Lc), 1e-300))
-              * (1.0 + 4 * (r + 2) * np.finfo(float).eps))
-        rows = ~(ln * split.qn.max(initial=0.0) < top)
-        cols = ~(ln.max() * split.qn < top)
-        if rows.any() and cols.any():
-            top = float(np.max([top, _max_abs({"Y3": Lc[rows] @ split.Qc[cols].T})]))
-    return top
+    """Max entrywise-infinity norm over residual blocks (0 for empty ones); a
+    NaN propagates, as max |b| is taken as max(b.max(), -b.min()), which
+    writes no |b|.  A column split of `state` bounds the Y3 block on C."""
+    return _geometry(state).max_abs(blocks)
 
 
 def _ascend(state, blocks, cfg):
@@ -452,13 +489,6 @@ def _ascend(state, blocks, cfg):
         setattr(state, name, r)
     state.mu = min(cfg.eta * state.mu, cfg.mu_max)
     state.iter += 1
-
-
-def _penalized(value, state, blocks):
-    """Add each block's multiplier term <Y, r> and penalty (mu/2)||r||^2."""
-    for name, r in blocks.items():
-        value += np.sum(getattr(state, name) * r) + 0.5 * state.mu * np.linalg.norm(r, "fro") ** 2
-    return float(value)
 
 
 def update_multipliers_and_mu(state, X, cfg):
@@ -482,32 +512,17 @@ def augmented_lagrangian(state, X, cfg, blocks=None):
         blocks = _residual_blocks(state, X)
     N = X.shape[1]
     A = np.vstack([_salient(state, X), np.ones((1, N))])
-    split = getattr(state, "_split", None)
-    if split is None:
-        F_norms = np.linalg.norm(state.F, axis=0)
-    else:  # F is zero on C; the norms of its columns U take no d x |U| temporary
-        Fu = state.F[:, split.Q.shape[1]:]
-        F_norms = np.sqrt(np.einsum("ij,ij->j", Fu, Fu))
+    geometry = _geometry(state)
     value = (
         # svt returns an all-zero J below its threshold; its nuclear norm is 0.
         (thin_svd(state.J)[1].sum() if state.J.any() else 0.0)
-        + F_norms.sum()
+        + geometry.F_norms(state.F).sum()
         + cfg.alpha * np.abs(state.W * state.Q).sum()
         + cfg.beta * (np.linalg.norm(A - A @ state.R, "fro") ** 2
                       + np.linalg.norm(state.S, axis=0).sum())
         + cfg.lam * np.abs(state.E).sum()
     )
-    if split is not None and split.U.size:
-        # On C, <Y~ Q_C', L_c Q_C'> and ||L_c Q_C'||^2 are Gram forms with
-        # Q_C'Q_C; while U is empty, Q'Q = I reads them off the coordinates.
-        r = split.Q.shape[1]
-        Yc, rc = state.Y3[:, :r], blocks["Y3"][:, :r]
-        Yu, ru = state.Y3[:, r:], blocks["Y3"][:, r:]
-        G = split.Qc.T @ split.Qc
-        value += (np.sum((Yc.T @ rc) * G) + np.einsum("ij,ij->", Yu, ru)
-                  + 0.5 * state.mu * (np.sum((rc.T @ rc) * G) + np.einsum("ij,ij->", ru, ru)))
-        blocks = {name: b for name, b in blocks.items() if name != "Y3"}
-    return _penalized(value, state, blocks)
+    return geometry.penalized(value, state, blocks)
 
 
 def primal_sweep(state, X, cfg, zfactor=None, basis=None):
@@ -564,16 +579,6 @@ def _run_alm(state, cfg, sweep, residual_blocks, lagrangian=None):
     return trace, converged
 
 
-def _start_range_phase(state, basis):
-    """Start ASLRC's column split (module docstring) at the zero state when
-    the reduced QR X = QB has r < d: U is empty, and L, F and Y3 are held as
-    zero d x r coordinates."""
-    Q = basis[0]
-    if Q.shape[1] < Q.shape[0]:
-        state.L, state.F, state.Y3 = (np.zeros(Q.shape) for _ in range(3))
-        state._split = _column_split(Q, np.zeros(0, dtype=np.intp))
-
-
 def _data_matrix(X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or not np.all(np.isfinite(X)):
@@ -584,16 +589,9 @@ def _data_matrix(X):
 
 
 def _decomposition(X, state, trace, converged):
-    """The Decomposition of a finished state; in ASLRC's column split, L's
-    d x d form is built here: L_c Q' with the columns U replaced."""
-    L, salient = state.L, _salient(state, X)
-    split = getattr(state, "_split", None)
-    if split is not None:
-        r = split.Q.shape[1]
-        L = state.L[:, :r] @ split.Q.T
-        L[:, split.U] = state.L[:, r:]
-    return Decomposition(Z_star=state.Z, L_star=L, E_star=state.E,
-                         principal=X @ state.Z, salient=salient,
+    """The Decomposition of a finished state, L in its d x d form."""
+    return Decomposition(Z_star=state.Z, L_star=_geometry(state).dense_L(state.L),
+                         E_star=state.E, principal=X @ state.Z, salient=_salient(state, X),
                          trace=trace, converged=converged, iterations=state.iter)
 
 
@@ -607,7 +605,7 @@ def solve(X, cfg=None, record_lagrangian=True):
     Everything from the set-up to the output products runs on one BLAS
     thread (see `blas.one_blas_thread`), so the result does not depend on
     the caller's BLAS thread count.  At d > N the sweeps run on the column
-    split (module docstring).
+    split (module docstring), from L, F and Y3 d x r zeros and U empty.
     """
     cfg = cfg or SolverConfig()
     X = _data_matrix(X)
@@ -616,8 +614,9 @@ def solve(X, cfg=None, record_lagrangian=True):
 
     lagrangian = ((lambda state, blocks: augmented_lagrangian(state, X, cfg, blocks))
                   if record_lagrangian else None)
-    state = init_state(X, cfg)
-    _start_range_phase(state, basis)
+    state = _aslrc_state(cfg, *X.shape, min(X.shape))  # d x r blocks: dense at r = d
+    if X.shape[0] > X.shape[1]:
+        state._split = _ColumnSplit(basis[0], np.zeros(0, dtype=np.intp))
     trace, converged = _run_alm(state, cfg,
                                 lambda state: primal_sweep(state, X, cfg, zfactor, basis),
                                 lambda state: _residual_blocks(state, X), lagrangian)

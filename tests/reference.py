@@ -4,6 +4,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from lolrec import solver
+from lolrec.blas import one_blas_thread
 
 
 def l_system(state, X, cfg):
@@ -18,6 +19,25 @@ def cholesky_update_L(state, X, cfg, basis=None):
     """Reference L update: Cholesky of the d x d system, as before the range basis."""
     M, rhs = l_system(state, X, cfg)
     return solver.cho_solve(solver._spd_factor(M), rhs.T).T
+
+
+@one_blas_thread()
+def dense_solve(X, cfg, record_lagrangian=False):
+    """ASLRC's `solve` with L, F and Y3 held d x d from the first sweep, at
+    any shape: a state from `init_state` run through `_run_alm` and
+    `primal_sweep`, the path the acceptance gate drives, with `solve`'s
+    sweep constants and output.  Every helper is looked up on `solver` at
+    call time, so a test's patch of one applies here too."""
+    X = solver._data_matrix(X)
+    zfactor = solver._spd_factor(2.0 * np.eye(X.shape[1]) + X.T @ X)
+    basis = np.linalg.qr(X)
+    lagrangian = ((lambda state, blocks: solver.augmented_lagrangian(state, X, cfg, blocks))
+                  if record_lagrangian else None)
+    state = solver.init_state(X, cfg)
+    trace, converged = solver._run_alm(
+        state, cfg, lambda state: solver.primal_sweep(state, X, cfg, zfactor, basis),
+        lambda state: solver._residual_blocks(state, X), lagrangian)
+    return solver._decomposition(X, state, trace, converged)
 
 
 def cholesky_latlrr_L(X, calls):

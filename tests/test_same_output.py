@@ -27,10 +27,11 @@ def copy_of_src(tmp_path):
 def test_copy_of_this_checkout_is_identical(same_output, tmp_path, capsys):
     assert same_output.main([str(copy_of_src(tmp_path)), "--size", "tiny"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "40 of 40 artifacts identical"
+    assert lines[-1] == "42 of 42 artifacts identical"
     # After each run's artifacts, its sweep counts: the same on both sides.
     counts = [line.split(" sweeps: ") for line in lines if " sweeps: " in line]
-    assert len(counts) == 11 and "bench-synth-tall" in [run for run, _ in counts]
+    runs = [run for run, _ in counts]
+    assert len(counts) == 12 and {"bench-synth-tall", "denoise-invert-csv"} <= set(runs)
     for _, both in counts:
         base, head = both.removesuffix(" (this checkout)").split(" (base), ")
         assert base == head and base

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import assert_beats_perturbations, fd_gradient, random_state
-from reference import cholesky_latlrr_L, cholesky_update_L, l_system, reference_svt
+from reference import (cholesky_latlrr_L, cholesky_update_L, dense_solve, l_system,
+                       reference_svt)
 from lolrec import classify, latlrr, prox, solver
 from lolrec.errors import NumericalError, ToolkitError
 from lolrec.latlrr import latlrr_solve
@@ -471,8 +472,7 @@ class TestRangeBasis:
         # The reference runs on the dense blocks from the first sweep: the
         # d x d Cholesky step reads F and Y3, which the column split holds in coordinates.
         monkeypatch.setattr(solver, "update_L", cholesky_update_L)
-        monkeypatch.setattr(solver, "_start_range_phase", lambda state, basis: None)
-        ref = solve(X, cfg, record_lagrangian=False)
+        ref = dense_solve(X, cfg)
         assert new.converged and new.iterations == ref.iterations
         assert np.linalg.norm(new.Z_star - ref.Z_star) <= 1e-10 * np.linalg.norm(ref.Z_star)
         np.testing.assert_allclose([p.residual for p in new.trace],
@@ -563,10 +563,8 @@ def solve_watching_F(monkeypatch, X, cfg, dense=False, record_lagrangian=False):
 
     with monkeypatch.context() as m:
         m.setattr(solver, "update_F", spy)
-        if dense:
-            m.setattr(solver, "_start_range_phase", lambda state, basis: None)
         try:
-            result = solve(X, cfg, record_lagrangian=record_lagrangian)
+            result = (dense_solve if dense else solve)(X, cfg, record_lagrangian=record_lagrangian)
         except ToolkitError as exc:
             result = exc
     return result, kept, held
@@ -666,10 +664,10 @@ class TestRangePhase:
             made.extend(r for r in results if np.ndim(r) == 2 and len(r) == d)
             return results if isinstance(result, tuple) else results[0]
 
-        real_init, real_ascend, real_max = solver.init_state, solver._ascend, solver._max_abs
+        real_zeros, real_ascend, real_max = solver._zero_state, solver._ascend, solver._max_abs
 
-        def init_state(X, cfg):
-            state = real_init(X, cfg)
+        def zero_state(cfg, **shapes):  # every start, split or dense, is built here
+            state = real_zeros(cfg, **shapes)
             for name, block in vars(state).items():
                 if isinstance(block, np.ndarray):
                     setattr(state, name, block.view(Recording))
@@ -690,7 +688,7 @@ class TestRangePhase:
             exact.clear()
 
         monkeypatch.setattr(solver, "_data_matrix", lambda X: X)
-        monkeypatch.setattr(solver, "init_state", init_state)
+        monkeypatch.setattr(solver, "_zero_state", zero_state)
         monkeypatch.setattr(solver, "_ascend", ascend)
         monkeypatch.setattr(solver, "_max_abs", max_abs)
         X = np.random.default_rng(0).standard_normal((d, N)).view(Recording)
@@ -706,8 +704,7 @@ class TestRangePhase:
         assert 0 < forming < len(sweeps)
 
         sweeps.clear()
-        monkeypatch.setattr(solver, "_start_range_phase", lambda state, basis: None)
-        solve(X, SolverConfig(max_iter=20))
+        dense_solve(X, SolverConfig(max_iter=20))
         assert all(len([a for a in new if a.shape == (d, d)]) >= 4 for _, new, _ in sweeps)
 
     def test_every_sweep_holds_under_1_5_dxd_in_new_memory(self, monkeypatch):
@@ -735,10 +732,9 @@ class TestRangePhase:
 
             with monkeypatch.context() as m:
                 m.setattr(solver, "_ascend", ascend)
-                if dense:
-                    m.setattr(solver, "_start_range_phase", lambda state, basis: None)
                 try:
-                    dec = solve(X, SolverConfig(max_iter=300 if not dense else 8))
+                    dec = (dense_solve if dense else solve)(
+                        X, SolverConfig(max_iter=300 if not dense else 8))
                 finally:
                     tracemalloc.stop()
             if not dense:
@@ -747,6 +743,30 @@ class TestRangePhase:
         assert max(p for p, _ in peaks[False]) <= 1.5 * dd
         assert None not in [u for _, u in peaks[False]] and peaks[False][-1][1] > d / 5
         assert all(u is None and p >= 3 * dd for p, u in peaks[True])
+
+    def test_no_dxd_block_before_the_first_sweep(self, monkeypatch):
+        """From the call to `solve` to its first sweep, tracemalloc's peak
+        stays below one d x d array: the split starts in coordinates.  A
+        first solve, untraced, leaves out what a cold process imports."""
+        d, N = 300, 10
+        X = np.random.default_rng(0).standard_normal((d, N))
+        solve(X, SolverConfig(max_iter=1))
+        real, peaks = solver.primal_sweep, []
+
+        def sweep(state, *args):
+            if tracemalloc.is_tracing():
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            return real(state, *args)
+
+        monkeypatch.setattr(solver, "primal_sweep", sweep)
+        tracemalloc.start()
+        try:
+            dec = solve(X, SolverConfig(max_iter=2))
+        finally:
+            tracemalloc.stop()
+        assert dec.iterations == 2 and len(peaks) == 1
+        assert peaks[0] < d * d * 8, peaks[0] / (d * d * 8)
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
     @pytest.mark.parametrize("instance", ["random-60x8", "tiny-faces"])
@@ -803,7 +823,7 @@ class TestRangePhase:
         d, r = 30, 4
         for _ in range(50):
             Q, _ = np.linalg.qr(rng.standard_normal((d, r)))
-            split = solver._column_split(Q, np.array([1, 3]))
+            split = solver._ColumnSplit(Q, np.array([1, 3]))
             Lc = 0.01 * rng.standard_normal((d, r))
             Lc[5] = 3.0 * split.Qc[7]
             Lc *= scale
@@ -847,7 +867,7 @@ class TestRangePhase:
 
         state = SimpleNamespace(L=W.copy(), Y3=Yr.copy(), F=np.zeros((d, r)), mu=mu,
                                 _lx=(W, None, None),
-                                _split=solver._column_split(Q, np.zeros(0, dtype=np.intp)))
+                                _split=solver._ColumnSplit(Q, np.zeros(0, dtype=np.intp)))
         F = solver.update_F(state)
         split = state._split
         assert sorted(split.U) == np.flatnonzero(keeps).tolist()

@@ -5,11 +5,12 @@
 BASE is a directory that holds a lolrec checkout (its `src/` is run), or a
 git ref of this repository, which is checked out with `git worktree add`
 into a temporary directory and removed afterwards.  The inputs are made
-once, by perfbench's workloads at seed 7 (`workloads.WORKLOADS`).  Then ten
-runs, perfbench's four workloads, those in `EXTRA` and "decompose-latlrr",
-go through BASE's `src` and through this checkout's, each a
-fresh `python -m lolrec.cli` process without perfbench's thread variables
-(`workloads.THREAD_VARS`), so every run takes the CLI's defaults.
+once, by perfbench's workloads at seed 7 (`workloads.WORKLOADS`).  Then
+twelve runs, perfbench's four workloads, those in `EXTRA`, "decompose-latlrr"
+and "denoise-invert-csv", go through BASE's `src` and through this
+checkout's, each a fresh `python -m lolrec.cli` process without perfbench's
+thread variables (`workloads.THREAD_VARS`), so every run takes the CLI's
+defaults.
 
 Each artifact is reported `identical`, or for a CSV by the largest
 difference of its numbers relative to the largest |entry| of BASE's file.
@@ -40,8 +41,10 @@ TINY = {"subspaces": 2, "sub_dim": 2, "ambient": 10, "n_per": 8, "dim": 6,
 
 # The runs beyond perfbench's four workloads: name -> (subcommand, the
 # perfbench workload whose shapes it takes or None for TINY at size tiny and
-# the CLI's defaults at full, config).  One more, "decompose-latlrr", runs
-# perfbench's `decompose-image` arguments with `--method latlrr`.
+# the CLI's defaults at full, config).  Two more: "decompose-latlrr" runs
+# perfbench's `decompose-image` arguments with `--method latlrr`, and
+# "denoise-invert-csv" runs `denoise` under `invert` on that workload's clean
+# faces (d > N), written as one CSV on the [0, 1] pixel scale.
 EXTRA = {
     "denoise-both": ("denoise", None, {"methods": ["aslrc", "latlrr"], "pct_list": [10, 50]}),
     "classify-blobs": ("classify", None, {"splits": 3}),
@@ -68,6 +71,7 @@ def perfbench_workloads():
 def make_inputs(workloads, size, directory):
     """Write every run's inputs under `directory`; returns run name -> CLI
     arguments (without `--out`)."""
+    from lolrec.matrix_io import save_matrix_csv
     runs = {}
     for name, wl in workloads.WORKLOADS.items():
         where = Path(directory) / name
@@ -82,6 +86,11 @@ def make_inputs(workloads, size, directory):
         path.write_text(json.dumps({**base, **cfg}))
         runs[name] = [subcommand, "--config", str(path)]
     runs["decompose-latlrr"] = [*runs["decompose-image"], "--method", "latlrr"]
+    faces = Path(directory) / "faces.csv"
+    save_matrix_csv(np.load(Path(directory) / "decompose-image" / "clean.npy"), faces)
+    path = Path(directory) / "denoise-invert-csv.json"
+    path.write_text(json.dumps({"input": str(faces), "protocol": "invert", "pct_list": [10, 30]}))
+    runs["denoise-invert-csv"] = ["denoise", "--config", str(path)]
     return runs
 
 

@@ -61,16 +61,16 @@ def svt(M, tau):
     The margin covers the bound's own rounding: each norm is a sum of at
     most M.size terms, so the computed bound is below the exact one by less
     than (size + 2) eps relative.  Below tau = 1e-150 the squares in ||M||_F
-    could underflow, so the SVD always runs there.  A non-finite M raises
-    NumericalError at any tau.
+    could underflow, and at tau = inf an infinite bound would pass, so the
+    SVD always runs there.  A non-finite M makes the bound NaN or infinite,
+    so it reaches the SVD, and `thin_svd` raises NumericalError, at any tau.
     """
     if tau < 0:
         raise InvalidThreshold(f"negative threshold {tau}")
     M = np.asarray(M, dtype=float)
-    _require_finite(M, "svt")
     if M.size == 0:
         return np.zeros(M.shape)
-    if tau >= 1e-150:
+    if 1e-150 <= tau < np.inf:
         A = np.abs(M)
         bound = min(np.linalg.norm(M),
                     np.sqrt(A.sum(axis=0).max() * A.sum(axis=1).max()))

@@ -10,8 +10,8 @@ Per-sweep update order is L, Z, E, R, then the splitting variables
 J, F, Q, W, S: the Z update consumes the fresh L, while L, R consume the
 previous sweep's Z, E, R and W, S respectively.  LatLRR (`latlrr.py`) shares
 the zero start (`_zero_state`), the ALM loop (`_run_alm`), the L step
-(`_solve_L`), L @ X (`_salient`) and the residuals of X = XZ + LX + E, J = Z
-and F = L (`_lrr_residual_blocks`).
+(`_solve_L`), which leaves L @ X for `_salient`, and the residuals of
+X = XZ + LX + E, J = Z and F = L (`_lrr_residual_blocks`).
 
 How a state holds L, F and Y3 is its geometry, read in one place
 (`_geometry`) by every step that depends on it.  `_Dense` holds them as
@@ -173,9 +173,6 @@ class _Dense:
         L += H
         return L, W
 
-    def salient(self, L, X):
-        return L @ X
-
     def update_F(self, state):
         M = _add_div(state.L, state.Y3, state.mu)
         M *= _l21_scale(M, 1.0 / state.mu)
@@ -258,10 +255,6 @@ class _ColumnSplit:
         np.matmul(_add_div(Lc, Yc, mu), self.Qu.T, out=L[:, r:])
         L[:, r:] += Hu
         return L, W
-
-    def salient(self, L, X):
-        """L_c Q_C' X_C + L_U X_U, X_C and X_U the rows C and U of X."""
-        return L[:, :self.r] @ (self.Qc.T @ X[self.C]) + L[:, self.r:] @ X[self.U]
 
     def update_F(self, state):
         """F stays zero on the columns that `_l21_zero_columns` rules out.  The
@@ -380,13 +373,14 @@ def _salient(state, X):
 
     `_solve_L` leaves (L, X, W B) in the state's `_lx` (absent until the
     first L step) for the later steps; a promotion to U, which rewrites the
-    same L in wider coordinates, keys it to the new array.  A state whose L
-    was replaced by other means (or a new X) gets a fresh product here.
+    same L in wider coordinates, keys it to the new array.  Only a state
+    whose L was set by other means (one built or copied by hand), or a new
+    X, misses it: no solve does.  A miss forms L's d x d form times X.
     """
     cached = getattr(state, "_lx", None)
     if cached is not None and cached[0] is state.L and cached[1] is X:
         return cached[2]
-    return _geometry(state).salient(state.L, X)
+    return _geometry(state).dense_L(state.L) @ X
 
 
 def update_Z(state, X, zfactor=None):

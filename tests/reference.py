@@ -43,18 +43,16 @@ def dense_solve(X, cfg, record_lagrangian=False):
 def cholesky_latlrr_L(X, calls):
     """Reference LatLRR L step, as before the range basis: one d x d Cholesky
     factor of I + XX' and d right-hand sides, L (XX' + I) = P X' / mu + H
-    with P = Y1 + mu (X - XZ - E) and H = F - Y3/mu, and L @ X as a d x d by
-    d x N product, left in the state's `_lx`.  It stands in for `_solve_L`
-    in `latlrr`; each call appends to `calls`."""
+    with P = Y1 + mu (X - XZ - E) and H = F - Y3/mu.  It stands in for
+    `_solve_L` in `latlrr` and leaves no L @ X, so `solver._salient` forms
+    it as a d x d by d x N product; each call appends to `calls`."""
     lfac = cho_factor(np.eye(X.shape[0]) + X @ X.T)
 
     def step(state, X, basis):
         mu = state.mu
         calls.append(mu)
         P = state.Y1 + mu * (X - X @ state.Z - state.E)
-        L = cho_solve(lfac, (P @ X.T / mu + state.F - state.Y3 / mu).T).T
-        state._lx = (L, X, L @ X)
-        return L
+        return cho_solve(lfac, (P @ X.T / mu + state.F - state.Y3 / mu).T).T
     return step
 
 

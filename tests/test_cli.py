@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -611,6 +612,88 @@ def test_worker_threads_run_only_solves(tmp_path, monkeypatch, subcommand):
     run_case(tmp_path, subcommand, max_iter=20)
     assert on_main.pop("_solve") == {False}
     assert on_main and all(seen == {True} for seen in on_main.values())
+
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "output_schema.md"
+
+
+def schema_tables():
+    """Each table of `docs/output_schema.md` as (section, intro, rows): the
+    `## ` heading it sits under ("" above the first), the paragraph just
+    before it, and its rows as lists of cells, the header first."""
+    tables, section, paragraph, rows, blank = [], "", [], None, False
+    for line in SCHEMA.read_text().splitlines():
+        if line.startswith("|"):
+            if rows is None:
+                rows = []
+                tables.append((section, " ".join(paragraph), rows))
+            if not set(line) <= set("|- "):  # not the separator row
+                rows.append([cell.strip() for cell in line.strip("|").split("|")])
+            continue
+        rows = None
+        if line.startswith("## "):
+            section, paragraph = line[3:], []
+        elif line.strip():
+            if blank:
+                paragraph = []
+            paragraph.append(line.strip())
+        blank = not line.strip()
+    return tables
+
+
+def documented_keys(intro_end):
+    """The keys of the one key table whose intro ends with `intro_end`."""
+    (rows,) = [rows for _, intro, rows in schema_tables() if intro.endswith(intro_end)]
+    assert rows[0] == ["key", "meaning"]
+    return {re.fullmatch(r"`([^`]+)`", row[0]).group(1) for row in rows[1:]}
+
+
+def documented_files(subcommand, pgm):
+    """{file: its documented CSV header, or None for a matrix or an image}
+    from the file tables of `subcommand`'s section; rows for PGM inputs
+    only count when `pgm`."""
+    files = {}
+    for section, _, rows in schema_tables():
+        if section == subcommand and rows[0] == ["file", "columns", "contents"]:
+            for names, columns, contents in rows[1:]:
+                if pgm or not contents.startswith("only for PGM inputs"):
+                    header = re.fullmatch(r"`([^`]+)`", columns)
+                    for name in re.findall(r"`([^`]+)`", names):
+                        files[name] = header.group(1).split(", ") if header else None
+    assert files, f"no file table under ## {subcommand}"
+    return files
+
+
+@pytest.mark.parametrize("case", [*sorted(SOLVE_CASES), "decompose-pgm"])
+def test_output_schema_matches_what_the_cli_writes(tmp_path, rng, case):
+    """Each subcommand writes exactly the files that its section of
+    `docs/output_schema.md` lists, each CSV with its documented header (a
+    matrix with none), and a manifest, `threads` and solve records with the
+    documented keys."""
+    subcommand, pgm = case.removesuffix("-pgm"), case.endswith("-pgm")
+    out = tmp_path / "out"
+    if pgm:
+        args = ["decompose", "--out", out, "--max-iter", 3]
+        for i in range(3):
+            save_pgm(ImageGrid(rng.integers(0, 256, (4, 5))), tmp_path / f"im{i}.pgm")
+            args += ["--input", tmp_path / f"im{i}.pgm"]
+        assert run(args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+    else:
+        manifest = run_case(tmp_path, subcommand, max_iter=3)
+    files = documented_files(subcommand, pgm)
+    assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json"])
+    for name, header in files.items():
+        if name.endswith(".csv"):
+            first = (out / name).read_text().split("\n", 1)[0].split(",")
+            if header is None:
+                np.array(first, dtype=float)  # a matrix: its first line is data
+            else:
+                assert first == header, name
+    assert set(manifest) == documented_keys("The manifest holds:")
+    assert set(manifest["threads"]) == documented_keys("`threads` holds:")
+    records = documented_keys("A record holds:")
+    assert manifest["solves"] and all(set(r) == records for r in manifest["solves"])
 
 
 FRESH_CLI = """

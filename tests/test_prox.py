@@ -123,6 +123,14 @@ class TestSvt:
         with pytest.raises(NumericalError):
             svt(np.array([[bad, 0.0], [0.0, 1.0]]), 1e300)
 
+    @pytest.mark.parametrize("tau", [0.0, 1e-200, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_where_no_bound_is_taken(self, bad, tau):
+        """Below tau = 1e-150 and at tau = inf the zero shortcut is not
+        taken: `thin_svd`'s check raises."""
+        with pytest.raises(NumericalError):
+            svt(np.array([[bad, 0.0], [0.0, 1.0]]), tau)
+
     @pytest.mark.parametrize("scale", [1 + 1e-13, 1 - 1e-13, 0.0, 10.0])
     @pytest.mark.parametrize("kind", ["random", "rank-one", "no-rows", "no-columns"])
     def test_equals_full_svd_reference(self, rng, kind, scale):

@@ -793,7 +793,7 @@ class TestRangePhase:
 
     def test_salient_of_a_split_state_without_its_product(self, monkeypatch):
         """A copy of a split state holds no L @ X for its own L, so `_salient`
-        forms it from the coordinates; it matches the W B of the L step and
+        forms it from L's d x d form; it matches the W B of the L step and
         the output's L_star @ X."""
         X = np.random.default_rng(0).standard_normal((60, 8))
         real, seen = solver._ascend, []
@@ -811,6 +811,13 @@ class TestRangePhase:
         np.testing.assert_allclose(salient, LX, rtol=1e-12, atol=1e-12 * np.abs(LX).max())
         L = solver._decomposition(X, state, [], False).L_star
         np.testing.assert_allclose(salient, L @ X, rtol=1e-12, atol=1e-12 * np.abs(LX).max())
+
+    def test_salient_of_a_dense_state_without_its_product(self, rng):
+        """A hand-built dense state, as the acceptance gate builds one, holds
+        no L @ X: `_salient` forms exactly state.L @ X."""
+        X = rng.standard_normal((9, 6))
+        state = random_state(rng, *X.shape)
+        assert np.array_equal(solver._salient(state, X), state.L @ X)
 
     @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e150])
     def test_max_abs_where_the_bound_is_tight(self, rng, scale):

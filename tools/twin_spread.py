@@ -11,7 +11,10 @@ the CLI's default config and reports, for Z, L, LX, E and XZ, the largest
 difference from X's answer, in Frobenius norm relative to that of X's
 block, with the sweep counts.  An exact-algebra change whose answer moves by
 no more than a small multiple of that spread stays within what the
-instance's own rounding moves.
+instance's own rounding moves.  For `decompose-image` it also reports the
+quality figure that perfbench checks, zeta = max(0, 1 - ||XZ - X_clean||_F
+/ ||X_clean||_F) with X_clean the workload's clean images (`clean.npy`):
+X's value and its largest change over the twins.
 
 With --base DIR, a lolrec checkout, X is also solved by DIR's `src`, loaded
 next to this checkout's under another module name, and the difference of
@@ -64,40 +67,46 @@ def difference(dec, other):
 def twin_spread(solve, X, eps=1e-15, twins=3):
     """Solve X and `twins` twins X (1 + eps xi), xi standard normal from
     seeds 0, 1, ...  Returns (X's Decomposition, the largest `difference`
-    of each block over the twins, the twins' sweep counts)."""
+    of each block over the twins, the twins' Decompositions)."""
     X = np.asarray(X, dtype=float)
     base = solve(X)
-    spread, sweeps = dict.fromkeys(BLOCKS, 0.0), []
+    spread, decs = dict.fromkeys(BLOCKS, 0.0), []
     for seed in range(twins):
         xi = np.random.default_rng(seed).standard_normal(X.shape)
-        twin = solve(X * (1.0 + eps * xi))
-        sweeps.append(twin.iterations)
-        for name, value in difference(base, twin).items():
+        decs.append(solve(X * (1.0 + eps * xi)))
+        for name, value in difference(base, decs[-1]).items():
             spread[name] = max(spread[name], value)
-    return base, spread, sweeps
+    return base, spread, decs
 
 
-def face_images():
-    """perfbench's `decompose-image` faces at seed 7, size full, as the CLI
-    loads them: one column per image."""
+def zeta(principal, clean):
+    """perfbench's `decompose-image` quality figure for an XZ of `principal`."""
+    return max(0.0, 1.0 - float(np.linalg.norm(clean - principal) / np.linalg.norm(clean)))
+
+
+def face_images(size="full"):
+    """perfbench's `decompose-image` faces at seed 7 as the CLI loads them,
+    one column per image, and the workload's clean images (`clean.npy`)."""
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     import workloads
     from lolrec.matrix_io import image_to_matrix, load_pgm
 
     with tempfile.TemporaryDirectory() as tmp:
-        argv = workloads.WORKLOADS["decompose-image"].make_inputs(7, "full", tmp)
+        argv = workloads.WORKLOADS["decompose-image"].make_inputs(7, size, tmp)
         paths = [arg for flag, arg in zip(argv, argv[1:]) if flag == "--input"]
-        return np.column_stack([image_to_matrix(load_pgm(p)).ravel() for p in paths])
+        return (np.column_stack([image_to_matrix(load_pgm(p)).ravel() for p in paths]),
+                np.load(Path(tmp) / "clean.npy"))
 
 
 def load_input(name):
+    """(X, its clean images, or None when the input has none)."""
     if name == "decompose-image":
         return face_images()
     if name.endswith(".npy"):
-        return np.load(name)
+        return np.load(name), None
     sys.path.insert(0, str(ROOT / "src"))
     from lolrec.matrix_io import load_matrix_csv
-    return load_matrix_csv(name)
+    return load_matrix_csv(name), None
 
 
 def solver(package, method):
@@ -116,11 +125,12 @@ def main(argv=None):
     parser.add_argument("--base", help="a lolrec checkout to compare this one with")
     args = parser.parse_args(argv)
 
-    X = load_input(args.input)
+    X, clean = load_input(args.input)
     head = load_lolrec(ROOT / "src", "lolrec_head")
-    dec, spread, sweeps = twin_spread(solver(head, args.method), X, args.eps, args.twins)
+    dec, spread, twins = twin_spread(solver(head, args.method), X, args.eps, args.twins)
+    sweeps = ", ".join(str(twin.iterations) for twin in twins)
     print(f"{args.input} ({X.shape[0]} x {X.shape[1]}), {args.method}: {dec.iterations} "
-          f"sweeps; twins at eps {args.eps:g}: {', '.join(map(str, sweeps))} sweeps")
+          f"sweeps; twins at eps {args.eps:g}: {sweeps} sweeps")
     drift = None
     if args.base:
         base = solver(load_lolrec(Path(args.base) / "src", "lolrec_base"), args.method)(X)
@@ -131,6 +141,10 @@ def main(argv=None):
         if drift is not None:
             line += f", this checkout against base {drift[name]:.2g}"
         print(line)
+    if clean is not None:
+        value = zeta(dec.principal, clean)
+        change = max((abs(zeta(twin.principal, clean) - value) for twin in twins), default=0.0)
+        print(f"zeta: {value:.6f}, largest change over the twins {change:.2g}")
     return 0
 
 
